@@ -5,8 +5,7 @@ multi-tenancy."""
 from repro.common.config import small_config
 from repro.sim.reporting import ExperimentTable
 from repro.sim.simulator import run
-from repro.systems import FusionSystem
-from repro.systems.multitenant import MultiTenantFusionSystem
+from repro.systems import SYSTEMS, coresident
 from repro.workloads.registry import BENCHMARKS, LABELS, build_workload
 
 
@@ -48,7 +47,7 @@ def test_adaptive_lease_policy(benchmark, report, size):
                    ("adaptive-40", short.with_lease_policy("adaptive")),
                    ("paper", small_config())]
         for label, config in configs:
-            result = FusionSystem(config, workload).run()
+            result = SYSTEMS["FUSION"](config, workload).run()
             misses = sum(v for k, v in result.stats.items()
                          if k.startswith("l0x.axc")
                          and k.endswith(".misses"))
@@ -101,10 +100,9 @@ def test_multitenant_isolation(benchmark, report, size):
             ["Scenario", "Cycles", "PIDconflicts", "L1Xmisses"])
         wl_a = build_workload("adpcm", size)
         wl_b = build_workload("filter", size)
-        solo_a = FusionSystem(small_config(), wl_a).run()
-        solo_b = FusionSystem(small_config(), wl_b).run()
-        pair = MultiTenantFusionSystem(small_config(),
-                                       [wl_a, wl_b]).run()
+        solo_a = SYSTEMS["FUSION"](small_config(), wl_a).run()
+        solo_b = SYSTEMS["FUSION"](small_config(), wl_b).run()
+        pair = coresident(small_config(), [wl_a, wl_b]).run()
         table.add_row("adpcm alone", solo_a.accel_cycles, 0,
                       int(solo_a.stat("l1x.misses")))
         table.add_row("filter alone", solo_b.accel_cycles, 0,

@@ -36,13 +36,7 @@ from .common import (
 )
 from .energy import EnergyBreakdown, breakdown_from_stats
 from .sim import ALL_EXPERIMENTS, ExperimentTable, RunResult, run, run_all
-from .systems import (
-    SYSTEMS,
-    FusionDxSystem,
-    FusionSystem,
-    ScratchSystem,
-    SharedSystem,
-)
+from .systems import SYSTEMS
 from .workloads import (
     BENCHMARKS,
     LABELS,
@@ -59,8 +53,7 @@ __all__ = [
     "large_config", "small_config",
     "EnergyBreakdown", "breakdown_from_stats",
     "ALL_EXPERIMENTS", "ExperimentTable", "RunResult", "run", "run_all",
-    "SYSTEMS", "FusionDxSystem", "FusionSystem", "ScratchSystem",
-    "SharedSystem",
+    "SYSTEMS",
     "BENCHMARKS", "LABELS", "build_workload", "build_workload_with_outputs",
     "characterize",
     "__version__",

@@ -436,16 +436,16 @@ class _KeyState:
 
 
 class InvocationReplayEngine:
-    """Per-run replay store driving one system's invocation loop.
+    """Per-run replay store driving one tenant's invocation loop.
 
     ``run_invocation`` either replays a matching recording (bulk counter
     flush + cache transform + timeline rebase) or runs the invocation
     for real — recording its effect when the key still has budget — and
-    always performs the same per-invocation attribution the base loop
-    does, so results are bit-identical either way.
+    always performs the same per-invocation attribution the system's
+    loop does, so results are bit-identical either way.
     """
 
-    def __init__(self, system, adapter):
+    def __init__(self, system, tenant, adapter):
         self.system = system
         self.registry = system.stats.registry
         self.adapter = adapter
@@ -458,7 +458,7 @@ class InvocationReplayEngine:
         # at least `min_occurrences` occurrences to break even.
         self._min_occurrences = getattr(adapter, "min_occurrences", 2)
         counts = {}
-        for trace in system.workload.invocations:
+        for trace in tenant.workload.invocations:
             counts[trace.name] = counts.get(trace.name, 0) + 1
         self._name_counts = counts
         self.hits = 0
@@ -467,9 +467,9 @@ class InvocationReplayEngine:
         self.ineligible = 0
         TELEMETRY["engines"] += 1
 
-    def run_invocation(self, index, trace, now):
+    def run_invocation(self, tenant, index, trace, now):
         if self._name_counts[trace.name] < self._min_occurrences:
-            return self._fallback(index, trace, now)
+            return self.system._step(tenant, index, trace, now)
         key = self.adapter.key_of(index, trace)
         state = self._keys.get(key)
         if state is None:
@@ -492,30 +492,23 @@ class InvocationReplayEngine:
                 TELEMETRY["disabled_keys"] += 1
         if state.disabled or len(state.recordings) >= \
                 MAX_RECORDINGS_PER_KEY:
-            return self._fallback(index, trace, now)
-        return self._record(index, trace, now, state)
+            return self.system._step(tenant, index, trace, now)
+        return self._record(tenant, index, trace, now, state)
 
-    # -- slow paths -----------------------------------------------------
+    # -- the recording path ---------------------------------------------
 
-    def _fallback(self, index, trace, now):
-        system = self.system
-        snapshot = system.stats.snapshot()
-        end = system._run_invocation(index, trace, now)
-        system._record_invocation(index, trace, end - now, snapshot)
-        return end
-
-    def _record(self, index, trace, now, state):
+    def _record(self, tenant, index, trace, now, state):
         system = self.system
         registry = self.registry
         pre = self.adapter.capture(index, trace)
         snapshot = system.stats.snapshot()
         pj_trace = registry.begin_pj_trace()
         try:
-            end = system._run_invocation(index, trace, now)
+            end = system._execute(tenant, index, trace, now)
         finally:
             registry.end_pj_trace()
         body_delta = registry.diff(snapshot)
-        system._record_invocation(index, trace, end - now, snapshot)
+        system._record_invocation(trace, end - now, snapshot)
         if pre is None or pj_trace.poisoned:
             self.ineligible += 1
             TELEMETRY["ineligible"] += 1
@@ -547,7 +540,7 @@ class InvocationReplayEngine:
         registry.replay_pj(recording.pj_program)
         registry.bulk_add(recording.delta_items)
         self.adapter.apply(recording, now)
-        # Mirror BaseSystem._record_invocation: the energy delta summed
+        # Mirror System._record_invocation: the energy delta summed
         # over the diff's energy counters, in recorded diff order —
         # bit-identical to what a real run at this state would report.
         energy = 0
@@ -562,8 +555,13 @@ class InvocationReplayEngine:
 
 
 # ---------------------------------------------------------------------------
-# per-system adapters
+# per-family adapters: each guards one tenant's bound machinery
 # ---------------------------------------------------------------------------
+
+def _base_key(tenant, trace):
+    return (trace_replay_token(trace), tenant.axc_of(trace),
+            tenant.mlp(trace))
+
 
 class AccTileReplayAdapter:
     """FUSION / FUSION-Dx: full L0X + L1X footprint + forward queues."""
@@ -573,28 +571,21 @@ class AccTileReplayAdapter:
     #: possible hit is the third occurrence.
     min_occurrences = 3
 
-    def __init__(self, system):
-        self.system = system
-        self.tile = system.tile
-        self.host = system.host_mem
-
-    def _effective_lease(self, trace):
-        lease = self.system.config.tile.lease_override or trace.lease_time
-        if lease is None:
-            lease = trace.lease_time or \
-                self.system.config.tile.default_lease
-        return lease
+    def __init__(self, tenant, bound, strategy):
+        self.tenant = tenant
+        self.bound = bound
+        self.strategy = strategy
+        self.tile = bound.tile
+        self.host = bound.host_mem
 
     def key_of(self, index, trace):
-        system = self.system
-        plan = system._forward_plan_for(index)
+        plan = self.bound.forward_plan_for(self.strategy, index)
         plan_token = tuple(map(tuple, plan)) if plan else None
-        return (trace_replay_token(trace), system._axc_of(trace),
-                self._effective_lease(trace), system._mlp(trace),
-                plan_token)
+        return _base_key(self.tenant, trace) + (
+            self.bound.effective_lease(self.strategy, trace), plan_token)
 
     def capture(self, index, trace):
-        axc = self.system._axc_of(trace)
+        axc = self.tenant.axc_of(trace)
         tile = self.tile
         return {
             "axc": axc,
@@ -615,7 +606,7 @@ class AccTileReplayAdapter:
         # ~6x duration; write-epoch equality checks are bounded by the
         # largest epoch visible at entry, which the signature pins).
         cover = 8 * duration + 64 + max_write_epoch_rel(pre["l1x"], t0)
-        plan = self.system._forward_plan_for(index)
+        plan = self.bound.forward_plan_for(self.strategy, index)
         demote = (frozenset(block for block, _consumer in plan)
                   if plan else frozenset())
         l1x_cache = self.tile.l1x.cache
@@ -707,18 +698,17 @@ class SharedL1XReplayAdapter:
     #: probed against a warm recording at least twice.
     min_occurrences = 3
 
-    def __init__(self, system):
-        self.system = system
-        self.host = system.host_mem
+    def __init__(self, tenant, bound):
+        self.tenant = tenant
+        self.l1x = bound.l1x
+        self.host = bound.host_mem
 
     def key_of(self, index, trace):
-        system = self.system
-        return (trace_replay_token(trace), system._axc_of(trace),
-                system._mlp(trace))
+        return _base_key(self.tenant, trace)
 
     def capture(self, index, trace):
         return {
-            "l1x": self.system.l1x.state_signature(),
+            "l1x": self.l1x.state_signature(),
             "host": self.host.struct_version,
             "dram": self.host.dram.version,
         }
@@ -742,11 +732,10 @@ class SharedL1XReplayAdapter:
         if (host.struct_version != payload["host"]
                 or host.dram.version != payload["dram"]):
             return False
-        return match_cache_signature(self.system.l1x.cache,
-                                     payload["sig"], t0)
+        return match_cache_signature(self.l1x.cache, payload["sig"], t0)
 
     def apply(self, recording, t0):
-        self.system.l1x.apply_transform(recording.payload["tf"], t0)
+        self.l1x.apply_transform(recording.payload["tf"], t0)
 
 
 class ScratchReplayAdapter:
@@ -759,27 +748,26 @@ class ScratchReplayAdapter:
     per physical block and the transform re-marks.
     """
 
-    def __init__(self, system):
-        self.system = system
-        self.host = system.host_mem
+    def __init__(self, tenant, bound):
+        self.tenant = tenant
+        self.bound = bound
+        self.host = bound.host_mem
         self._pblock_cache = {}
 
     def key_of(self, index, trace):
-        system = self.system
-        return (trace_replay_token(trace), system._axc_of(trace),
-                system._mlp(trace))
+        return _base_key(self.tenant, trace)
 
     def _pblocks_of(self, trace):
         token = trace_replay_token(trace)
         pblocks = self._pblock_cache.get(token)
         if pblocks is None:
             from ..host.dma import windows_for
-            windows = windows_for(trace, self.system._capacity)
+            windows = windows_for(trace, self.bound.capacity)
             vblocks = set()
             for window in windows:
                 vblocks.update(window.in_blocks)
                 vblocks.update(window.out_blocks)
-            translate = self.system.page_table.translate
+            translate = self.bound.page_table.translate
             pblocks = tuple(sorted({translate(block)
                                     for block in vblocks}))
             self._pblock_cache[token] = pblocks
@@ -794,8 +782,8 @@ class ScratchReplayAdapter:
         return tuple(state)
 
     def capture(self, index, trace):
-        axc = self.system._axc_of(trace)
-        if self.system.scratchpads[axc].state_signature():
+        axc = self.tenant.axc_of(trace)
+        if self.bound.scratchpads[axc].state_signature():
             return None         # non-empty scratchpad: cannot guard
         pblocks = self._pblocks_of(trace)
         return {
@@ -831,7 +819,7 @@ class ScratchReplayAdapter:
         if (host.struct_version != payload["host"]
                 or host.dram.version != payload["dram"]):
             return False
-        if self.system.scratchpads[payload["axc"]].state_signature():
+        if self.bound.scratchpads[payload["axc"]].state_signature():
             return False
         return self._l2_state(payload["pblocks"]) == payload["l2"]
 
@@ -844,22 +832,14 @@ class ScratchReplayAdapter:
 class IdealReplayAdapter:
     """IDEAL: no hierarchy state at all — pure timeline + stats replay."""
 
-    def __init__(self, system):
-        self.system = system
+    def __init__(self, tenant):
+        self.tenant = tenant
 
     def key_of(self, index, trace):
-        system = self.system
-        return (trace_replay_token(trace), system._axc_of(trace),
-                system._mlp(trace))
+        return _base_key(self.tenant, trace)
 
     def capture(self, index, trace):
         return {}
-
-    def state_signature(self):
-        return ()
-
-    def apply_transform(self, transform, t0):
-        pass
 
     def build(self, pre, post, t0, end, index, trace):
         return Recording(trace.name, {})

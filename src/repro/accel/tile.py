@@ -12,6 +12,20 @@ from ..interconnect.link import Link
 from .core import AxcCore
 
 
+def invocation_lease(tile_config, trace, pinned=None):
+    """The ACC lease one invocation's epoch requests carry.
+
+    A strategy-``pinned`` lease wins; otherwise the config's
+    ``lease_override``, else the function's assigned lease time — a
+    zero lease included.  ``default_lease`` applies only to a trace
+    that assigns none.
+    """
+    if pinned is not None:
+        return pinned
+    lease = tile_config.lease_override or trace.lease_time
+    return tile_config.default_lease if lease is None else lease
+
+
 class AcceleratorTile:
     """AXC cores + L0Xs + shared L1X wired together under ACC."""
 
@@ -34,6 +48,8 @@ class AcceleratorTile:
                                          config.tile.l0x.num_sets))
             for axc_id in range(num_axcs)
         ]
+        for l0x in self.l0xs:
+            l0x.pid = page_table.pid
         self.cores = [AxcCore(axc_id, stats) for axc_id in range(num_axcs)]
 
     def run_invocation(self, axc_id, trace, start_time, mlp, lease=None,
@@ -48,7 +64,7 @@ class AcceleratorTile:
         """
         l0x = self.l0xs[axc_id]
         if lease is None:
-            lease = trace.lease_time or self.config.tile.default_lease
+            lease = invocation_lease(self.config.tile, trace)
         if forward_plan:
             l0x.forward_hook = self._make_forward_hook(
                 axc_id, forward_plan, lease)
@@ -68,6 +84,19 @@ class AcceleratorTile:
         finally:
             l0x.forward_hook = None
         return end
+
+    def iter_invocation(self, axc_id, trace, start_time, mlp, lease):
+        """Generator form of :meth:`run_invocation` (no forwarding) for
+        schedulers that interleave invocations: yields the local time
+        after each memory op and returns the completion time, dirty
+        lines flushed."""
+        l0x = self.l0xs[axc_id]
+        # One invocation per AXC at a time, so binding the lease on the
+        # controller is race-free even with interleaved invocations.
+        l0x.invocation_lease = lease
+        end = yield from self.cores[axc_id].iter_run(
+            trace, start_time, l0x.access, mlp)
+        return end + l0x.flush_dirty(end)
 
     def _make_forward_hook(self, producer_id, forward_plan, lease):
         """Build the self-downgrade hook for one producer invocation."""

@@ -34,8 +34,7 @@ from .sim import charts, export
 from .sim import engine as engine_mod
 from .sim.experiments import ALL_EXPERIMENTS, table2
 from .sim.simulator import run
-from .systems import SYSTEMS
-from .systems.multitenant import MultiTenantFusionSystem
+from .systems import SYSTEMS, coresident
 from .workloads import trace_io
 from .workloads.registry import BENCHMARKS, build_workload
 
@@ -132,17 +131,12 @@ def _cmd_trace(args):
 
 
 def _cmd_multitenant(args):
-    from .systems.multitile import MultiTileFusionSystem
     workloads = [build_workload(name, args.size)
                  for name in args.benchmarks]
-    if args.per_tile:
-        system = MultiTileFusionSystem(small_config(), workloads)
-        conflicts = "n/a (dedicated tiles)"
-    else:
-        system = MultiTenantFusionSystem(small_config(), workloads)
-    result = system.run()
-    if not args.per_tile:
-        conflicts = int(result.stat("l1x.pid_conflicts"))
+    result = coresident(small_config(), workloads,
+                        per_tile=args.per_tile).run()
+    conflicts = ("n/a (dedicated tiles)" if args.per_tile
+                 else int(result.stat("l1x.pid_conflicts")))
     print("processes        : {}".format(result.benchmark))
     print("tiles            : {}".format(
         len(workloads) if args.per_tile else 1))

@@ -11,15 +11,17 @@ into first-class :class:`CoherenceStrategy` objects so it can be made
   FUSION lease length) that is cheap to build, hashable, and printable
   (``strategy.key`` round-trips through :func:`make_strategy`);
 * **binding** a strategy to a simulation context constructs the actual
-  machinery (scratchpads + DMA engine, shared L1X, accelerator tile)
-  exactly as the legacy system classes did — the systems in
-  ``repro.systems`` are now thin presets over one bound strategy, and
-  the golden grids pin that the extraction is bit-identical;
+  machinery (scratchpads + DMA engine, shared L1X, accelerator tile);
+  every system in ``repro.systems`` runs its invocations through bound
+  strategies, and the golden grids pin the results;
 * a :class:`StrategyBinder` lazily binds at most one machinery instance
   per *family*, so a policy run that mixes ``fusion:lease=250`` and
   ``fusion:lease=1000`` shares a single tile (the lease is applied at
   the invocation boundary, as the hardware would), and a run that never
-  selects a family never pays for its construction.
+  selects a family never pays for its construction;
+* the IDEAL bound (:data:`IDEAL`) is one more family: single-cycle,
+  zero-energy memory.  It is an analysis bound, not a coherence mode,
+  so no strategy key names it and no selector can pick it.
 
 Mixing families in one run is coherent by construction: every cache
 family registers as a named agent with the host directory, host-side
@@ -31,9 +33,9 @@ import abc
 from dataclasses import dataclass, field, replace
 
 from ..accel.core import AxcCore
-from ..accel.replay import (AccTileReplayAdapter, ScratchReplayAdapter,
-                            SharedL1XReplayAdapter)
-from ..accel.tile import AcceleratorTile
+from ..accel.replay import (AccTileReplayAdapter, IdealReplayAdapter,
+                            ScratchReplayAdapter, SharedL1XReplayAdapter)
+from ..accel.tile import AcceleratorTile, invocation_lease
 from ..common.config import WritePolicy
 from ..common.errors import ConfigError
 from ..host.dma import OracleDmaController, ScratchpadAccessModel, \
@@ -52,8 +54,11 @@ class BindContext:
     ``workload`` may be ``None`` when no strategy in play derives
     per-workload structure (only FUSION-Dx forwarding plans need it).
     ``agent_name`` is the host-directory agent name for cache-based
-    families; the default is the legacy single-tile name, which the
-    :class:`StrategyBinder` overrides when several families coexist.
+    families; the :class:`StrategyBinder` suffixes it when several
+    families coexist.  ``tile`` is an existing accelerator tile the
+    fusion family shares instead of building its own (tenants co-resident
+    on one PID-tagged tile), with this tenant's AXCs numbered from
+    ``axc_base``.
     """
 
     config: object
@@ -63,14 +68,8 @@ class BindContext:
     num_axcs: int
     workload: object = None
     agent_name: str = TILE
-
-
-def bind_context(system):
-    """The :class:`BindContext` of a single-workload system."""
-    return BindContext(config=system.config, host_mem=system.host_mem,
-                       page_table=system.page_table, stats=system.stats,
-                       num_axcs=system.workload.num_axcs,
-                       workload=system.workload)
+    tile: object = None
+    axc_base: int = 0
 
 
 class CoherenceStrategy(abc.ABC):
@@ -127,12 +126,12 @@ class SharedL1XStrategy(CoherenceStrategy):
 class FusionLeaseStrategy(CoherenceStrategy):
     """The ACC lease hierarchy (FUSION), with a tunable lease length.
 
-    ``lease=None`` reproduces the legacy resolution (the config's
-    ``lease_override`` or the function's assigned lease time);
-    an explicit ``lease`` pins every invocation-boundary epoch request
-    to that length — the per-invocation knob the lease ablation sweeps
-    per *system*.  ``forwarding`` enables the FUSION-Dx L0X-to-L0X
-    write forwarding pass.
+    ``lease=None`` resolves each invocation's lease by the one rule in
+    :func:`repro.accel.tile.invocation_lease`; an explicit ``lease``
+    pins every invocation-boundary epoch request to that length — the
+    per-invocation knob the lease ablation sweeps per *system*.
+    ``forwarding`` enables the FUSION-Dx L0X-to-L0X write forwarding
+    pass.
     """
 
     family = "fusion"
@@ -154,6 +153,31 @@ class FusionLeaseStrategy(CoherenceStrategy):
 
     def bind(self, ctx):
         return BoundFusionTile(ctx)
+
+
+@dataclass(frozen=True)
+class IdealStrategy(CoherenceStrategy):
+    """Single-cycle, zero-energy memory: the data-movement-free bound.
+
+    Every accelerator memory operation completes in one cycle with zero
+    hierarchy energy (compute energy is still charged), so the gap
+    between a real design and IDEAL is exactly that design's
+    data-movement cost.  :func:`make_strategy` rejects its key.
+    """
+
+    family = "ideal"
+    needs_agent = False
+
+    @property
+    def key(self):
+        return "ideal"
+
+    def bind(self, ctx):
+        return BoundIdeal(ctx)
+
+
+#: The IDEAL bound's strategy (the only way to name it).
+IDEAL = IdealStrategy()
 
 
 def make_strategy(key):
@@ -198,7 +222,7 @@ def make_strategy(key):
 
 
 # ---------------------------------------------------------------------------
-# Bound strategies: the machinery, extracted verbatim from the systems
+# Bound strategies: the machinery each family runs invocations on
 # ---------------------------------------------------------------------------
 
 class BoundScratchpadDma:
@@ -210,6 +234,8 @@ class BoundScratchpadDma:
         config = ctx.config
         stats = ctx.stats
         self.stats = stats
+        self.host_mem = ctx.host_mem
+        self.page_table = ctx.page_table
         self.scratchpads = [
             Scratchpad(config.tile.scratchpad, name="sp{}".format(i))
             for i in range(ctx.num_axcs)
@@ -248,8 +274,8 @@ class BoundScratchpadDma:
             now += self.dma.transfer_out(dirty, now)
         return now
 
-    def replay_adapter(self, system, strategy):
-        return ScratchReplayAdapter(system)
+    def replay_adapter(self, tenant, strategy):
+        return ScratchReplayAdapter(tenant, self)
 
 
 class BoundSharedL1X:
@@ -260,6 +286,7 @@ class BoundSharedL1X:
     def __init__(self, ctx):
         config = ctx.config
         self.config = config
+        self.host_mem = ctx.host_mem
         self.l1x = SharedL1XController(config, ctx.host_mem,
                                        ctx.page_table, ctx.stats,
                                        agent_name=ctx.agent_name)
@@ -277,24 +304,31 @@ class BoundSharedL1X:
             phase_quote_batch=self.l1x.phase_quote_batch,
             leased_phases=False)
 
-    def replay_adapter(self, system, strategy):
+    def replay_adapter(self, tenant, strategy):
         if self.config.tile.model_bank_conflicts:
             # Bank busy-until times are absolute; not replayable.
             return None
-        return SharedL1XReplayAdapter(system)
+        return SharedL1XReplayAdapter(tenant, self)
 
 
 class BoundFusionTile:
-    """The FUSION accelerator tile (L0Xs + L1X under ACC)."""
+    """The FUSION accelerator tile (L0Xs + L1X under ACC).
+
+    With ``ctx.tile`` set, the tenant shares that tile: its AXCs are the
+    slice from ``ctx.axc_base`` and its forwarding plan is rebased onto
+    the tile's global AXC numbering.
+    """
 
     family = "fusion"
 
     def __init__(self, ctx):
         self.config = ctx.config
+        self.host_mem = ctx.host_mem
         self.workload = ctx.workload
-        self.tile = AcceleratorTile(ctx.config, ctx.host_mem,
-                                    ctx.page_table, ctx.num_axcs,
-                                    ctx.stats, name=ctx.agent_name)
+        self.axc_base = ctx.axc_base
+        self.tile = ctx.tile or AcceleratorTile(
+            ctx.config, ctx.host_mem, ctx.page_table, ctx.num_axcs,
+            ctx.stats, name=ctx.agent_name)
         #: Forwarding plan, built lazily on the first forwarding
         #: invocation (a pure function of the workload trace).
         self._plan = None
@@ -308,43 +342,89 @@ class BoundFusionTile:
                 raise ConfigError(
                     "forwarding strategy bound without a workload "
                     "(no trace to derive the forwarding plan from)")
-            plan = self._plan = forwarding_plan(self.workload)
+            plan = forwarding_plan(self.workload)
+            base = self.axc_base
+            if base:
+                plan = {i: [(block, consumer + base)
+                            for block, consumer in entries]
+                        for i, entries in plan.items()}
+            self._plan = plan
         return plan.get(index)
 
     def effective_lease(self, strategy, trace):
-        if strategy.lease is not None:
-            return strategy.lease
-        return self.config.tile.lease_override or trace.lease_time
+        return invocation_lease(self.config.tile, trace, strategy.lease)
 
     def run(self, strategy, index, trace, now, axc, mlp):
         return self.tile.run_invocation(
-            axc, trace, now, mlp,
+            axc + self.axc_base, trace, now, mlp,
             lease=self.effective_lease(strategy, trace),
             forward_plan=self.forward_plan_for(strategy, index))
 
-    def replay_adapter(self, system, strategy):
+    def iter_run(self, strategy, index, trace, now, axc, mlp):
+        """:meth:`run` as a generator stepped one memory op at a time
+        (no forwarding); its return value is the end time."""
+        return self.tile.iter_invocation(
+            axc + self.axc_base, trace, now, mlp,
+            self.effective_lease(strategy, trace))
+
+    def replay_adapter(self, tenant, strategy):
         tile = self.config.tile
-        if (strategy.lease is not None
-                or tile.model_bank_conflicts
+        if (tile.model_bank_conflicts
                 or tile.lease_policy != "fixed"
                 or tile.l0x.write_policy is not WritePolicy.WRITE_BACK):
             # Bank busy-until times are absolute (not translation
             # invariant), adaptive leases carry cross-invocation policy
-            # state, write-through L0X reads L1X write epochs with no
-            # state diff to sign, and a strategy-pinned lease is not
-            # what the recording adapter keys on — decline the rung.
+            # state, and write-through L0X reads L1X write epochs with
+            # no state diff to sign — decline the rung.
             return None
-        return AccTileReplayAdapter(system)
+        return AccTileReplayAdapter(tenant, self, strategy)
+
+
+def _free_access(op, now):
+    return 1
+
+
+def _free_access_run(op, count, now, horizon, interval):
+    return 1
+
+
+def _free_phase_quote(phase, now, horizon, interval):
+    return 1, 1
+
+
+def _free_phase_quote_batch(window, now, horizon, interval):
+    # No guard can fail and no hierarchy counters exist, so every
+    # window is accepted whole at the free per-op latency.
+    return len(window.phases), 1, 1
+
+
+class BoundIdeal:
+    """The IDEAL bound: AXC cores over free memory."""
+
+    family = "ideal"
+
+    def __init__(self, ctx):
+        self.cores = [AxcCore(i, ctx.stats) for i in range(ctx.num_axcs)]
+
+    def run(self, strategy, index, trace, now, axc, mlp):
+        return self.cores[axc].run(
+            trace, now, _free_access, mlp, access_run=_free_access_run,
+            phase_quote=_free_phase_quote,
+            phase_quote_batch=_free_phase_quote_batch,
+            leased_phases=False)
+
+    def replay_adapter(self, tenant, strategy):
+        return IdealReplayAdapter(tenant)
 
 
 class StrategyBinder:
     """Lazily bind strategies, sharing one machinery instance per family.
 
-    The first cache family bound gets the legacy directory agent name
-    (``"tile"``) so a single-family run — e.g. the static selector —
-    is bit-identical to the corresponding legacy system; later cache
-    families get fresh names, keeping host-directory exclusivity exact
-    when families mix within one run.
+    The first cache family bound keeps the context's directory agent
+    name (``"tile"`` for a one-tenant run), so a single-family run —
+    e.g. the static selector — always sees the same agent; later cache
+    families get suffixed names (``tile2``, ...), keeping
+    host-directory exclusivity exact when families mix within one run.
     """
 
     def __init__(self, ctx):
@@ -358,9 +438,9 @@ class StrategyBinder:
             ctx = self._ctx
             if strategy.needs_agent:
                 self._agents += 1
-                name = TILE if self._agents == 1 \
-                    else "{}{}".format(TILE, self._agents)
-                ctx = replace(ctx, agent_name=name)
+                if self._agents > 1:
+                    ctx = replace(ctx, agent_name="{}{}".format(
+                        ctx.agent_name, self._agents))
             bound = self._bound[strategy.family] = strategy.bind(ctx)
         return bound
 

@@ -12,7 +12,8 @@ the coherence strategy *per invocation* — the Cohmeleon/HyDRA direction:
   argmin over strategies via the execution engine's cached batch path),
   in-process bandit training, and the ``policy`` experiment grid.
 
-The POLICY system itself lives in :mod:`repro.systems.policy`.
+The POLICY system is the registry entry in :mod:`repro.systems` whose
+selector :func:`make_selector` builds from ``config.policy``.
 """
 
 from .engine import evaluate_selectors, policy_grid, train_bandit

@@ -24,6 +24,7 @@ under ``--jobs`` and cacheable by content hash.
 from ..common.config import small_config
 from ..sim.engine import RunRequest, get_engine
 from ..sim.results import is_failure
+from ..systems import SYSTEMS
 from ..workloads.registry import BENCHMARKS, build_workload
 from .selectors import BanditSelector
 
@@ -171,7 +172,6 @@ def train_bandit(benchmark, size="full", config=None,
         raise ValueError(
             "unknown learning selector {!r}".format(selector))
 
-    from ..systems.policy import PolicySystem
     run_config = config.with_policy(selector=selector,
                                     strategies=tuple(strategies),
                                     epsilon=epsilon,
@@ -179,11 +179,12 @@ def train_bandit(benchmark, size="full", config=None,
                                     seed=seed)
     episode_cycles = []
     for _episode in range(episodes):
-        result = PolicySystem(run_config, workload,
-                              selector=bandit).run()
+        result = SYSTEMS["POLICY"](run_config, workload,
+                                   selector=bandit).run()
         episode_cycles.append(result.accel_cycles)
     bandit.exploit = True
-    final = PolicySystem(run_config, workload, selector=bandit).run()
+    final = SYSTEMS["POLICY"](run_config, workload,
+                              selector=bandit).run()
     chosen = tuple(
         bandit.select(i, trace).key
         for i, trace in enumerate(workload.invocations))

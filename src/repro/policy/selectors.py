@@ -38,6 +38,9 @@ class Selector:
 
     #: Whether runs under this selector must record telemetry.
     records_telemetry = False
+    #: The strategy every ``select`` returns, when fixed (a run with one
+    #: tenant under a fixed strategy may use the replay rung).
+    strategy = None
 
     def select(self, index, trace):
         """Return the :class:`CoherenceStrategy` for invocation ``index``."""
@@ -185,16 +188,20 @@ class BanditSelector(Selector):
 def make_selector(policy, workload):
     """Build the selector a :class:`PolicyConfig` describes."""
     if policy.selector == "static":
-        return StaticSelector(policy.static_strategy)
-    if policy.selector == "schedule":
-        return ScheduleSelector(policy.schedule)
-    if policy.selector == "bandit":
-        return BanditSelector(policy.strategies, workload,
-                              epsilon=policy.epsilon, ucb_c=0.0,
-                              seed=policy.seed)
-    if policy.selector == "ucb":
-        return BanditSelector(policy.strategies, workload,
-                              epsilon=0.0, ucb_c=policy.ucb_c,
-                              seed=policy.seed)
-    raise ConfigError(
-        "unknown policy selector {!r}".format(policy.selector))
+        selector = StaticSelector(policy.static_strategy)
+    elif policy.selector == "schedule":
+        selector = ScheduleSelector(policy.schedule)
+    elif policy.selector == "bandit":
+        selector = BanditSelector(policy.strategies, workload,
+                                  epsilon=policy.epsilon, ucb_c=0.0,
+                                  seed=policy.seed)
+    elif policy.selector == "ucb":
+        selector = BanditSelector(policy.strategies, workload,
+                                  epsilon=0.0, ucb_c=policy.ucb_c,
+                                  seed=policy.seed)
+    else:
+        raise ConfigError(
+            "unknown policy selector {!r}".format(policy.selector))
+    if policy.record_telemetry:
+        selector.records_telemetry = True
+    return selector

@@ -52,7 +52,7 @@ def telemetry_from_delta(index, trace, strategy_key, cycles, delta,
     ``delta`` is ``stats.diff(snapshot_before)``; energy and contention
     are recovered from counter-name suffixes (every energy counter ends
     in ``energy_pj``, every stall-time counter in ``stall_cycles``),
-    mirroring how ``BaseSystem._record_invocation`` attributes energy.
+    mirroring how ``System._record_invocation`` attributes energy.
     """
     energy = 0.0
     stalls = 0.0

@@ -73,7 +73,7 @@ class RunResult:
             accel_delta = snapshot
         return cls(
             system=system.name,
-            benchmark=system.workload.benchmark,
+            benchmark=system.benchmark,
             config_name=system.config.name,
             accel_cycles=accel_cycles,
             total_cycles=total_cycles,

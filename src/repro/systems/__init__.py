@@ -1,28 +1,26 @@
-"""The four evaluated system designs (plus extensions)."""
+"""The simulated systems: one :class:`System` model and its registry.
 
-from .base import BaseSystem
-from .fusion import FusionSystem
-from .fusion_dx import FusionDxSystem
-from .ideal import IdealSystem
-from .pipelined import PipelinedFusionSystem
-from .policy import PolicySystem
-from .preset import StrategyPresetSystem
-from .scratch import ScratchSystem
-from .shared import SharedSystem
+Each registry entry is one tenant under a selector: the paper's four
+designs and the IDEAL bound run a static strategy, FUSION-PIPE runs
+FUSION with a dependence-aware schedule, and POLICY runs the selector
+``config.policy`` describes.  :func:`coresident` builds the multi-process
+runs (FUSION-MT, FUSION-2T).
+"""
+
+from ..coherence.strategy import IDEAL
+from .pipelined import PipelinedSystem
+from .system import System, coresident, preset
 
 #: Registry keyed by the names used throughout the paper's figures,
-#: plus the analysis/extension systems (IDEAL bound, pipelined tile,
-#: per-invocation strategy POLICY).
+#: plus the analysis/extension systems.
 SYSTEMS = {
-    "SCRATCH": ScratchSystem,
-    "SHARED": SharedSystem,
-    "FUSION": FusionSystem,
-    "FUSION-Dx": FusionDxSystem,
-    "IDEAL": IdealSystem,
-    "FUSION-PIPE": PipelinedFusionSystem,
-    "POLICY": PolicySystem,
+    "SCRATCH": preset("SCRATCH", "scratch"),
+    "SHARED": preset("SHARED", "shared"),
+    "FUSION": preset("FUSION", "fusion"),
+    "FUSION-Dx": preset("FUSION-Dx", "fusion-dx"),
+    "IDEAL": preset("IDEAL", IDEAL),
+    "FUSION-PIPE": preset("FUSION-PIPE", "fusion", PipelinedSystem),
+    "POLICY": preset("POLICY", None),
 }
 
-__all__ = ["BaseSystem", "FusionSystem", "FusionDxSystem", "IdealSystem",
-           "PipelinedFusionSystem", "PolicySystem", "ScratchSystem",
-           "SharedSystem", "StrategyPresetSystem", "SYSTEMS"]
+__all__ = ["SYSTEMS", "System", "coresident", "preset"]

@@ -3,7 +3,7 @@
 The evaluated FUSION runs the sequential program's invocations back to
 back (execution migrates between accelerators).  The tile, however, has
 several accelerators sitting idle — and many invocations are mutually
-data-independent (see :mod:`repro.workloads.dependence`).  This system
+data-independent (see :mod:`repro.workloads.dependence`).  FUSION-PIPE
 is the natural next step the paper's Figure 5 timeline gestures at:
 invocations whose traces touch disjoint data run *concurrently*, each
 on its own AXC, interleaved over the shared L1X.
@@ -13,27 +13,30 @@ sequential-consistency semantics: an invocation starts only after every
 invocation it depends on (block-granularity RAW/WAW/WAR, plus same-AXC
 program order) has completed and flushed, so no concurrent pair ever
 races on a block — the shared L1X sees their interleaved, independent
-epochs, which is exactly what ACC was built for.
+epochs, which is exactly what ACC was built for.  Only act 2's schedule
+differs from :class:`System`; the host acts and results are shared.
 """
 
 import heapq
 
 from ..workloads.dependence import invocation_dependences
-from .fusion import FusionSystem
+from .system import System
 
 
 class _Job:
     """One in-flight invocation being stepped by the scheduler."""
 
-    __slots__ = ("index", "axc", "generator", "now", "done", "end",
+    __slots__ = ("index", "trace", "axc", "generator", "now", "end",
                  "start", "snapshot")
 
-    def __init__(self, index, axc, generator, start):
+    def __init__(self, index, trace, axc, generator, start, snapshot):
         self.index = index
+        self.trace = trace
         self.axc = axc
         self.generator = generator
         self.now = start
-        self.done = False
+        self.start = start
+        self.snapshot = snapshot
         self.end = None
 
     def step(self):
@@ -43,49 +46,23 @@ class _Job:
             return True
         except StopIteration as stop:
             self.end = stop.value
-            self.done = True
             return False
 
     def __lt__(self, other):
         return (self.now, self.index) < (other.now, other.index)
 
 
-class PipelinedFusionSystem(FusionSystem):
-    """FUSION with dependence-aware invocation overlap."""
+class PipelinedSystem(System):
+    """Dependence-aware invocation overlap for a one-tenant run whose
+    strategies bind a generator-steppable ``iter_run`` (the fusion
+    family)."""
 
-    name = "FUSION-PIPE"
-
-    def _build(self):
-        super()._build()
-        self._deps = invocation_dependences(self.workload)
-
-    def run(self):
-        # The host phases and result assembly are inherited behaviour;
-        # only the accelerated region's schedule changes, so this
-        # overrides the base run() with a scheduler loop.
-        from ..sim.results import RunResult
-        now = 0
-        for base, size in self.workload.array_ranges.values():
-            now = self.host_core.produce(base, size, now)
-        produce_snapshot = self.stats.snapshot()
-        accel_start = now
-        end_of = self._schedule(start=now)
-        now = max(end_of.values(), default=now)
-        accel_cycles = now - accel_start
-        for base, size in self.workload.host_output_arrays:
-            now = self.host_core.consume(base, size, now)
-        return RunResult.from_system(self, accel_cycles=accel_cycles,
-                                     total_cycles=now,
-                                     energy_baseline=produce_snapshot)
-
-    # -- the scheduler ------------------------------------------------------
-
-    def _schedule(self, start):
-        """Run every invocation as early as its dependences allow.
-
-        Returns ``{invocation_index: end_time}``.
-        """
-        invocations = self.workload.invocations
+    def _accelerate(self, now):
+        """Run every invocation as early as its dependences allow;
+        returns the end of the region."""
+        (tenant,) = self.tenants
+        invocations = tenant.workload.invocations
+        deps = invocation_dependences(tenant.workload)
         end_of = {}
         started = set()
         active = []  # heap of _Job ordered by local time
@@ -93,21 +70,24 @@ class PipelinedFusionSystem(FusionSystem):
 
         def try_start(current_time):
             for index, trace in enumerate(invocations):
-                if index in started:
+                if index in started or not deps[index] <= end_of.keys():
                     continue
-                deps = self._deps[index]
-                if not deps <= end_of.keys():
-                    continue
-                axc = self._axc_of(trace)
+                axc = tenant.axc_of(trace)
                 if axc in busy_axcs:
                     continue
                 ready_at = max([current_time]
-                               + [end_of[i] for i in deps])
-                self._launch(index, trace, axc, ready_at, active)
+                               + [end_of[i] for i in deps[index]])
+                strategy = tenant.selector.select(index, trace)
+                bound = tenant.binder.bind(strategy)
+                snapshot = self.stats.snapshot()
+                generator = bound.iter_run(strategy, index, trace,
+                                           ready_at, axc, tenant.mlp(trace))
+                heapq.heappush(active, _Job(index, trace, axc, generator,
+                                            ready_at, snapshot))
                 started.add(index)
                 busy_axcs.add(axc)
 
-        try_start(start)
+        try_start(now)
         while active:
             # Step the job with the smallest local clock so shared-L1X
             # state mutations stay (approximately) time ordered.
@@ -115,32 +95,9 @@ class PipelinedFusionSystem(FusionSystem):
             if job.step():
                 heapq.heappush(active, job)
                 continue
-            end = self._finish(job)
-            end_of[job.index] = end
+            self._record_invocation(job.trace, job.end - job.start,
+                                    job.snapshot)
+            end_of[job.index] = job.end
             busy_axcs.discard(job.axc)
-            try_start(end)
-        return end_of
-
-    def _launch(self, index, trace, axc, start, active):
-        l0x = self.tile.l0xs[axc]
-        lease = (self.config.tile.lease_override or trace.lease_time
-                 or self.config.tile.default_lease)
-        snapshot = self.stats.snapshot()
-        # One job per AXC at a time (busy_axcs), so binding the lease on
-        # the controller is race-free even with interleaved invocations.
-        l0x.invocation_lease = lease
-
-        generator = self.tile.cores[axc].iter_run(
-            trace, start, l0x.access, self._mlp(trace))
-        job = _Job(index, axc, generator, start)
-        job.start = start
-        job.snapshot = snapshot
-        heapq.heappush(active, job)
-
-    def _finish(self, job):
-        trace = self.workload.invocations[job.index]
-        l0x = self.tile.l0xs[job.axc]
-        end = job.end + l0x.flush_dirty(job.end)
-        self._record_invocation(job.index, trace, end - job.start,
-                                job.snapshot)
-        return end
+            try_start(job.end)
+        return max(end_of.values(), default=now)

@@ -5,7 +5,7 @@ from dataclasses import replace
 from repro.common.config import small_config
 from repro.common.stats import StatsRegistry
 from repro.mem.banking import BankContention
-from repro.systems import PipelinedFusionSystem, SYSTEMS
+from repro.systems import SYSTEMS
 from repro.workloads.registry import build_workload
 
 
@@ -88,8 +88,8 @@ def test_pipelined_overlap_creates_bank_pressure():
     sequential schedule does."""
     workload = build_workload("disparity", "tiny")
     sequential = SYSTEMS["FUSION"](contention_config(), workload).run()
-    pipelined = PipelinedFusionSystem(contention_config(),
-                                      workload).run()
+    pipelined = SYSTEMS["FUSION-PIPE"](contention_config(),
+                                       workload).run()
     assert pipelined.stat("l1x.banks.conflicts", 0) >= \
         sequential.stat("l1x.banks.conflicts", 0)
 

@@ -1,4 +1,4 @@
-"""The IDEAL upper bound and efficiency analysis (repro.systems.ideal)."""
+"""The IDEAL upper bound and efficiency analysis (IDEAL strategy family)."""
 
 import pytest
 

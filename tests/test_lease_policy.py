@@ -69,13 +69,13 @@ def test_adaptive_reduces_renewal_misses_end_to_end():
     """On a lease-thrashing workload, the adaptive policy must cut L0X
     renewal misses relative to fixed short leases."""
     from repro.common.config import small_config
-    from repro.systems import FusionSystem
+    from repro.systems import SYSTEMS
     from repro.workloads.registry import build_workload
     workload = build_workload("filter", "small")
     short = small_config().with_lease(40)
-    fixed = FusionSystem(short, workload).run()
-    adaptive = FusionSystem(short.with_lease_policy("adaptive"),
-                            workload).run()
+    fixed = SYSTEMS["FUSION"](short, workload).run()
+    adaptive = SYSTEMS["FUSION"](short.with_lease_policy("adaptive"),
+                                 workload).run()
 
     def misses(result):
         return sum(v for k, v in result.stats.items()
@@ -187,3 +187,63 @@ def test_adaptive_policy_with_zero_default_lease_stays_zero():
     policy.on_renewal_miss(0)
     policy.on_renewal_miss(0)
     assert policy.lease_for(0, 0) == 0
+
+
+# -- one lease rule for every system (repro.accel.tile.invocation_lease) -----
+
+@pytest.mark.parametrize("override", (0, 50))
+@pytest.mark.parametrize("per_tile", (False, True))
+def test_one_tenant_coresident_run_honours_lease_override(override,
+                                                          per_tile):
+    """A one-tenant co-resident run is FUSION: same cycles and energy,
+    whether or not ``lease_override`` replaces the functions' leases."""
+    import dataclasses
+    from repro.common.config import small_config
+    from repro.systems import SYSTEMS, coresident
+    from repro.workloads.registry import build_workload
+    config = small_config()
+    config = dataclasses.replace(config, tile=dataclasses.replace(
+        config.tile, lease_override=override))
+    workload = build_workload("histogram", "tiny")
+    fusion = SYSTEMS["FUSION"](config, workload).run()
+    alone = coresident(config, [workload], per_tile=per_tile).run()
+    assert alone.accel_cycles == fusion.accel_cycles
+    assert alone.energy.total_pj == fusion.energy.total_pj
+
+
+def _zero_lease_chain():
+    """Four functions on four AXCs, each reading what the previous one
+    wrote, every lease zero: one dependence chain, nothing overlaps."""
+    from repro.common.types import AccessType, ComputeOp, FunctionTrace, \
+        MemOp, WorkloadTrace
+    base = 0x10000
+    invocations = []
+    for step in range(8):
+        ops = [MemOp(AccessType.LOAD, base + 64 * ((step + i) % 12))
+               for i in range(6)]
+        ops += [ComputeOp(int_ops=3),
+                MemOp(AccessType.STORE, base + 64 * ((step + 6) % 12))]
+        invocations.append(FunctionTrace(
+            name="fn{}".format(step % 4), benchmark="chain", ops=ops,
+            lease_time=0))
+    return WorkloadTrace(
+        benchmark="chain", invocations=invocations,
+        host_input_arrays=[(base, 12 * 64)],
+        host_output_arrays=[(base, 12 * 64)],
+        array_ranges={"pool": (base, 12 * 64)})
+
+
+def test_pipelined_keeps_a_zero_lease_like_fusion():
+    """With nothing to overlap, FUSION-PIPE is FUSION exactly — a zero
+    function lease stays zero instead of becoming ``default_lease``."""
+    import dataclasses
+    from repro.common.config import small_config
+    from repro.systems import SYSTEMS
+    from repro.workloads.dependence import invocation_dependences
+    workload = _zero_lease_chain()
+    deps = invocation_dependences(workload)
+    assert all(index - 1 in deps[index]
+               for index in range(1, len(workload.invocations)))
+    fusion = SYSTEMS["FUSION"](small_config(), workload).run()
+    pipelined = SYSTEMS["FUSION-PIPE"](small_config(), workload).run()
+    assert dataclasses.replace(pipelined, system="FUSION") == fusion

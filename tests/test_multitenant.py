@@ -1,16 +1,15 @@
-"""Multi-tenant FUSION tile: PID tagging (repro.systems.multitenant)."""
+"""Multi-tenant FUSION tile: PID tagging (repro.systems.coresident)."""
 
 import pytest
 
 from repro.common.config import small_config
-from repro.systems import FusionSystem
-from repro.systems.multitenant import MultiTenantFusionSystem
+from repro.systems import SYSTEMS, coresident
 from repro.workloads.registry import build_workload
 
 
 def run_mt(names, size="tiny"):
     workloads = [build_workload(name, size) for name in names]
-    return MultiTenantFusionSystem(small_config(), workloads).run()
+    return coresident(small_config(), workloads).run()
 
 
 def test_two_processes_share_the_tile():
@@ -22,7 +21,7 @@ def test_two_processes_share_the_tile():
 
 def test_requires_a_workload():
     with pytest.raises(ValueError):
-        MultiTenantFusionSystem(small_config(), [])
+        coresident(small_config(), [])
 
 
 def test_pid_conflicts_detected_on_shared_l1x():
@@ -35,7 +34,7 @@ def test_pid_conflicts_detected_on_shared_l1x():
 
 def test_single_tenant_has_no_pid_conflicts():
     workload = build_workload("adpcm", "tiny")
-    result = MultiTenantFusionSystem(small_config(), [workload]).run()
+    result = coresident(small_config(), [workload]).run()
     assert result.stat("l1x.pid_conflicts") == 0
 
 
@@ -50,9 +49,9 @@ def test_every_process_runs_all_its_functions():
 def test_processes_use_disjoint_physical_frames():
     wl = [build_workload("adpcm", "tiny"),
           build_workload("filter", "tiny")]
-    system = MultiTenantFusionSystem(small_config(), wl)
-    paddr_a = system.page_tables[0].translate(0x10000)
-    paddr_b = system.page_tables[1].translate(0x10000)
+    system = coresident(small_config(), wl)
+    paddr_a = system.tenants[0].host_core.page_table.translate(0x10000)
+    paddr_b = system.tenants[1].host_core.page_table.translate(0x10000)
     assert paddr_a != paddr_b
 
 
@@ -61,16 +60,16 @@ def test_isolation_no_cross_process_data_reuse():
     fetch its own physical copies: the L1X miss count for the pair is at
     least the sum of each process alone (sharing would make it lower)."""
     wl = build_workload("adpcm", "tiny")
-    solo = FusionSystem(small_config(), wl).run()
-    pair = MultiTenantFusionSystem(small_config(), [wl, wl]).run()
+    solo = SYSTEMS["FUSION"](small_config(), wl).run()
+    pair = coresident(small_config(), [wl, wl]).run()
     assert pair.stat("l1x.misses") >= 2 * solo.stat("l1x.misses")
 
 
 def test_multitenant_costs_more_than_sum_of_parts():
     """Time-sharing one tile thrashes the shared L1X: the pair's cycles
     exceed either solo run."""
-    solo = FusionSystem(small_config(),
-                        build_workload("adpcm", "tiny")).run()
+    solo = SYSTEMS["FUSION"](small_config(),
+                             build_workload("adpcm", "tiny")).run()
     pair = run_mt(["adpcm", "filter"])
     assert pair.accel_cycles > solo.accel_cycles
 
@@ -79,8 +78,8 @@ def test_multitenant_costs_more_than_sum_of_parts():
 
 def run_mt_strategies(names, strategies, size="tiny"):
     workloads = [build_workload(name, size) for name in names]
-    return MultiTenantFusionSystem(small_config(), workloads,
-                                   strategies=strategies).run()
+    return coresident(small_config(), workloads,
+                      strategies=strategies).run()
 
 
 def test_uniform_fusion_strategies_match_default_bit_for_bit():
@@ -95,8 +94,8 @@ def test_uniform_fusion_strategies_match_default_bit_for_bit():
 def test_strategies_length_must_match_workloads():
     workloads = [build_workload("adpcm", "tiny")]
     with pytest.raises(ValueError, match="1 workloads"):
-        MultiTenantFusionSystem(small_config(), workloads,
-                                strategies=("fusion", "scratch"))
+        coresident(small_config(), workloads,
+                   strategies=("fusion", "scratch"))
 
 
 def test_per_tenant_lease_changes_behaviour():

@@ -51,9 +51,9 @@ def test_same_work_is_performed():
 
 
 def test_every_invocation_completes():
-    from repro.systems import PipelinedFusionSystem
+    from repro.systems import SYSTEMS
     workload = build_workload("susan", "tiny")
-    system = PipelinedFusionSystem(small_config(), workload)
+    system = SYSTEMS["FUSION-PIPE"](small_config(), workload)
     result = system.run()
     assert set(result.function_names()) == set(workload.function_names())
     for name in result.function_names():

@@ -1,4 +1,4 @@
-"""The policy subsystem (repro.policy + repro.systems.policy).
+"""The policy subsystem (repro.policy + the POLICY registry system).
 
 Selectors, telemetry extraction, the POLICY system's recording path,
 and the oracle/bandit engine on tiny workloads.
@@ -163,7 +163,7 @@ def test_telemetry_from_delta_extracts_suffixes():
 def test_policy_system_records_telemetry_on_schedule_runs():
     system, result = _policy_run(
         "fft", selector="schedule", schedule=("fusion",))
-    invocations = len(system.workload.invocations)
+    invocations = len(system.tenants[0].workload.invocations)
     assert len(system.telemetry) == invocations
     assert [r.index for r in system.telemetry] == list(
         range(invocations))

@@ -24,8 +24,7 @@ import repro.accel.core as core_mod
 from repro.common.config import small_config
 from repro.common.types import AccessType, ComputeOp, FunctionTrace, \
     MemOp, WorkloadTrace
-from repro.systems import SYSTEMS
-from repro.systems.multitenant import MultiTenantFusionSystem
+from repro.systems import SYSTEMS, coresident
 
 # A segment is either a same-line access run (block index, store?,
 # length) or a compute op.  Runs up to 12 ops long build windows the
@@ -147,6 +146,6 @@ def test_multitenant_bit_identical(spec_a, spec_b):
     if not all(w.invocations for w in tenants):
         return
     phased, fallback = run_both_paths(
-        lambda: MultiTenantFusionSystem(small_config(), tenants))
+        lambda: coresident(small_config(), tenants))
     assert fingerprint(phased) == fingerprint(fallback), \
         "phase engine changed multi-tenant results"

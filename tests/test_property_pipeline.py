@@ -11,7 +11,7 @@ from repro.common.config import small_config
 from repro.common.types import AccessType, ComputeOp, FunctionTrace, \
     MemOp, WorkloadTrace
 from repro.sim.validate import validate
-from repro.systems import FusionSystem, PipelinedFusionSystem
+from repro.systems import SYSTEMS
 
 # Functions draw blocks from a small pool so overlap (and therefore
 # dependence edges) is common but not universal.
@@ -49,8 +49,8 @@ def build(spec):
 @settings(max_examples=60, deadline=None)
 def test_pipelined_schedules_random_workloads(spec):
     workload = build(spec)
-    sequential = FusionSystem(small_config(), workload).run()
-    pipelined = PipelinedFusionSystem(small_config(), workload).run()
+    sequential = SYSTEMS["FUSION"](small_config(), workload).run()
+    pipelined = SYSTEMS["FUSION-PIPE"](small_config(), workload).run()
     # Everything completed and validates.
     assert validate(pipelined) == []
     assert set(pipelined.function_names()) == \
@@ -63,8 +63,8 @@ def test_pipelined_schedules_random_workloads(spec):
 @settings(max_examples=40, deadline=None)
 def test_pipelined_performs_identical_work(spec):
     workload = build(spec)
-    sequential = FusionSystem(small_config(), workload).run()
-    pipelined = PipelinedFusionSystem(small_config(), workload).run()
+    sequential = SYSTEMS["FUSION"](small_config(), workload).run()
+    pipelined = SYSTEMS["FUSION-PIPE"](small_config(), workload).run()
 
     def accesses(result):
         return sum(v for k, v in result.stats.items()
@@ -78,8 +78,9 @@ def test_pipelined_performs_identical_work(spec):
 @settings(max_examples=40, deadline=None)
 def test_pipelined_leaves_no_dirty_state(spec):
     workload = build(spec)
-    system = PipelinedFusionSystem(small_config(), workload)
+    system = SYSTEMS["FUSION-PIPE"](small_config(), workload)
     system.run()
-    for l0x in system.tile.l0xs:
+    tile = system.tenants[0].binder.bound_families["fusion"].tile
+    for l0x in tile.l0xs:
         assert not l0x.cache.dirty_lines()
         assert not l0x._incoming_forwards

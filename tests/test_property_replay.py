@@ -16,6 +16,8 @@ plans (FUSION-Dx), and alternating function contents that force guard
 misses and the engine's decline/disable paths.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
@@ -23,8 +25,7 @@ import repro.accel.replay as replay_mod
 from repro.common.config import small_config
 from repro.common.types import AccessType, ComputeOp, FunctionTrace, \
     MemOp, WorkloadTrace
-from repro.systems import SYSTEMS
-from repro.systems.multitenant import MultiTenantFusionSystem
+from repro.systems import SYSTEMS, coresident
 
 # A segment is either a same-line access run (block index, store?,
 # length) or a compute op — the same shapes the phase-engine suite
@@ -41,6 +42,10 @@ segments = st.lists(st.one_of(run_segment, compute_segment),
 functions = st.lists(
     st.tuples(st.integers(0, 2), segments),   # (function tag, segments)
     min_size=1, max_size=3)
+
+#: POLICY static strategy key per paper system.
+STATIC_KEYS = {"SCRATCH": "scratch", "SHARED": "shared",
+               "FUSION": "fusion", "FUSION-Dx": "fusion-dx"}
 
 #: Iteration counts past the engine's recording floor, so later
 #: iterations genuinely probe (and, in steady state, hit).
@@ -120,17 +125,31 @@ def run_both_paths(make_system):
 @given(functions, iteration_counts)
 @settings(max_examples=15, deadline=None)
 def test_replay_results_bit_identical_on_all_systems(spec, iterations):
-    """All six systems — the four designs, IDEAL and the pipelined
-    tile — report identical results with the replay rung on and off."""
+    """Every registry system — the four designs, IDEAL, the pipelined
+    tile and POLICY under each static strategy — reports identical
+    results with the replay rung on and off."""
     note("workload spec: {!r} x{}".format(spec, iterations))
     workload = build(spec, iterations=iterations)
     if not workload.invocations:
         return
+    presets = {}
     for system_cls in SYSTEMS.values():
         replayed, fallback = run_both_paths(
             lambda: system_cls(small_config(), workload))
         assert fingerprint(replayed) == fingerprint(fallback), \
             "replay cache changed {} results".format(system_cls.name)
+        presets[system_cls.name] = replayed
+    # POLICY under a static selector is offered the rung too, and is
+    # the preset it names in everything but the system name.
+    for name, key in STATIC_KEYS.items():
+        config = small_config().with_policy(selector="static",
+                                            static_strategy=key)
+        replayed, fallback = run_both_paths(
+            lambda: SYSTEMS["POLICY"](config, workload))
+        assert fingerprint(replayed) == fingerprint(fallback), \
+            "replay cache changed POLICY static:{} results".format(key)
+        assert replace(replayed, system=name) == presets[name], \
+            "POLICY static:{} differs from {}".format(key, name)
 
 
 @given(functions, lease_times)
@@ -179,7 +198,7 @@ def test_multitenant_bit_identical(spec_a, spec_b):
     if not all(w.invocations for w in tenants):
         return
     replayed, fallback = run_both_paths(
-        lambda: MultiTenantFusionSystem(small_config(), tenants))
+        lambda: coresident(small_config(), tenants))
     assert fingerprint(replayed) == fingerprint(fallback), \
         "replay flag changed multi-tenant results"
 
@@ -205,6 +224,25 @@ def test_replay_engine_actually_hits():
     engine = system.replay_engine
     assert engine is not None
     assert engine.hits > 0, "replay guard never matched a recording"
+
+
+def test_replay_rung_follows_the_selector():
+    """POLICY under a static selector takes the rung like the preset it
+    names; a learning selector (cross-invocation state) never does."""
+    workload = _steady_workload()
+    original = replay_mod.REPLAY_INVOCATIONS
+    try:
+        replay_mod.REPLAY_INVOCATIONS = True
+        static = SYSTEMS["POLICY"](small_config(), workload)
+        static.run()
+        bandit = SYSTEMS["POLICY"](
+            small_config().with_policy(selector="bandit"), workload)
+        bandit.run()
+    finally:
+        replay_mod.REPLAY_INVOCATIONS = original
+    assert static.replay_engine is not None
+    assert static.replay_engine.hits > 0
+    assert bandit.replay_engine is None
 
 
 def test_forced_decline_paths_stay_bit_identical():

@@ -34,8 +34,7 @@ import repro.workloads.vector as vector_mod
 from repro.common.config import small_config
 from repro.common.types import AccessType, ComputeOp, FunctionTrace, \
     MemOp, WorkloadTrace
-from repro.systems import SYSTEMS
-from repro.systems.multitenant import MultiTenantFusionSystem
+from repro.systems import SYSTEMS, coresident
 
 # Same trace shapes as tests/test_property_phases.py: runs up to 12 ops
 # build phases the compilers accept, a 16-line pool keeps lines
@@ -158,7 +157,7 @@ def test_multitenant_bit_identical(spec_a, spec_b):
     if not all(w.invocations for w in tenants):
         return
     vectored, fallback = run_both_paths(
-        lambda: MultiTenantFusionSystem(small_config(), tenants))
+        lambda: coresident(small_config(), tenants))
     assert fingerprint(vectored) == fingerprint(fallback), \
         "vector rung changed multi-tenant results"
 

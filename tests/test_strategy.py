@@ -1,10 +1,10 @@
 """CoherenceStrategy extraction (repro.coherence.strategy).
 
-The four legacy systems are now thin presets over per-invocation
-strategy objects; these tests pin that the extraction is exact — the
-POLICY system's static selector produces RunResults bit-identical to
-the legacy classes (everything but the system name) — and that the
-strategy key grammar round-trips.
+The four paper systems are static-selector registry entries over
+per-invocation strategy objects; these tests pin that the POLICY
+system's static selector produces RunResults bit-identical to them
+(everything but the system name), that the strategy key grammar
+round-trips, and how the binder shares and names machinery.
 """
 
 import dataclasses
@@ -57,6 +57,8 @@ def test_strategy_key_round_trips():
 def test_make_strategy_rejects_garbage():
     with pytest.raises(ConfigError, match="unknown coherence strategy"):
         make_strategy("mesi")
+    with pytest.raises(ConfigError, match="unknown coherence strategy"):
+        make_strategy("ideal")          # a bound, not a coherence mode
     with pytest.raises(ConfigError, match="takes no lease"):
         make_strategy("scratch:lease=5")
     with pytest.raises(ConfigError, match="non-integer lease"):
@@ -101,28 +103,10 @@ def test_lease_variant_matches_lease_override_config():
     assert policy.stat("l1x.misses") == legacy.stat("l1x.misses")
 
 
-def test_preset_mirrors_legacy_attributes():
-    """Replay adapters and subclasses reach into the legacy attribute
-    names; the presets must keep exposing them."""
-    config = small_config()
-    scratch = SYSTEMS["SCRATCH"](config, build_workload("fft", "tiny"))
-    assert len(scratch.scratchpads) == len(scratch.cores)
-    assert scratch._capacity >= 1
-    shared = SYSTEMS["SHARED"](config, build_workload("fft", "tiny"))
-    assert shared.l1x is shared._bound.l1x
-    fusion = SYSTEMS["FUSION"](config, build_workload("fft", "tiny"))
-    assert fusion.tile is fusion._bound.tile
-    assert fusion._forward_plan_for(0) is None
-    dx = SYSTEMS["FUSION-Dx"](config, build_workload("fft", "tiny"))
-    assert any(dx._forward_plan_for(i) is not None for i in range(
-        len(dx.workload.invocations)))
-
-
 def test_binder_shares_one_bound_per_family():
-    from repro.coherence.strategy import StrategyBinder, bind_context
     config = small_config()
     system = SYSTEMS["POLICY"](config, build_workload("fft", "tiny"))
-    binder = StrategyBinder(bind_context(system))
+    binder = system.tenants[0].binder
     short = binder.bind(make_strategy("fusion:lease=10"))
     long = binder.bind(make_strategy("fusion:lease=4000"))
     assert short is long                      # one tile, two leases
@@ -131,10 +115,9 @@ def test_binder_shares_one_bound_per_family():
 
 
 def test_binder_names_extra_cache_agents_distinctly():
-    from repro.coherence.strategy import StrategyBinder, bind_context
     system = SYSTEMS["POLICY"](small_config(),
                                build_workload("fft", "tiny"))
-    binder = StrategyBinder(bind_context(system))
+    binder = system.tenants[0].binder
     fusion = binder.bind(make_strategy("fusion"))
     shared = binder.bind(make_strategy("shared"))
     assert fusion.tile.l1x.agent_name == "tile"

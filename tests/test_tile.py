@@ -79,9 +79,13 @@ def test_hook_removed_after_invocation():
 
 
 def test_default_lease_fallback():
-    tile, _ = make_tile()
-    no_lease = FunctionTrace(name="f", benchmark="b",
-                             ops=[load(0x40)], lease_time=0)
-    tile.run_invocation(0, no_lease, 0, mlp=1)
-    line = tile.l0xs[0].cache.lookup(0x40, touch=False)
-    assert line.lease is not None and line.lease > 0
+    """A function that assigns no lease gets ``default_lease``; a zero
+    lease stays zero (``repro.accel.tile.invocation_lease``)."""
+    expiry = {}
+    for lease_time in (None, 0):
+        tile, _ = make_tile()
+        tile.run_invocation(0, trace([load(0x40)], lease=lease_time), 0,
+                            mlp=1)
+        expiry[lease_time] = tile.l0xs[0].cache.lookup(
+            0x40, touch=False).lease
+    assert expiry[None] - expiry[0] == small_config().tile.default_lease

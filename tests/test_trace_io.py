@@ -48,12 +48,12 @@ def test_roundtrip_via_files(tmp_path, fft_tiny):
 
 def test_loaded_trace_simulates_identically(tmp_path, adpcm_tiny):
     from repro.common.config import small_config
-    from repro.systems import FusionSystem
+    from repro.systems import SYSTEMS
     path = tmp_path / "adpcm.trace"
     trace_io.save_path(adpcm_tiny, path)
     restored = trace_io.load_path(path)
-    original = FusionSystem(small_config(), adpcm_tiny).run()
-    replayed = FusionSystem(small_config(), restored).run()
+    original = SYSTEMS["FUSION"](small_config(), adpcm_tiny).run()
+    replayed = SYSTEMS["FUSION"](small_config(), restored).run()
     # Bit-identical, not just approximately equal: the replayed run must
     # reproduce every counter of the original (the restored trace goes
     # through the same lowering pass, so any drift here means trace
