@@ -443,10 +443,14 @@ class InvocationReplayEngine:
     for real — recording its effect when the key still has budget — and
     always performs the same per-invocation attribution the system's
     loop does, so results are bit-identical either way.
+
+    The engine keeps no reference to its system: the system hands
+    itself to every :meth:`run_invocation`, so a finished run's machine
+    graph stays acyclic and refcounting frees it (docs/simulator.md
+    §6.4).
     """
 
     def __init__(self, system, tenant, adapter):
-        self.system = system
         self.registry = system.stats.registry
         self.adapter = adapter
         self._keys = {}
@@ -467,9 +471,9 @@ class InvocationReplayEngine:
         self.ineligible = 0
         TELEMETRY["engines"] += 1
 
-    def run_invocation(self, tenant, index, trace, now):
+    def run_invocation(self, system, tenant, index, trace, now):
         if self._name_counts[trace.name] < self._min_occurrences:
-            return self.system._step(tenant, index, trace, now)
+            return system._step(tenant, index, trace, now)
         key = self.adapter.key_of(index, trace)
         state = self._keys.get(key)
         if state is None:
@@ -492,13 +496,12 @@ class InvocationReplayEngine:
                 TELEMETRY["disabled_keys"] += 1
         if state.disabled or len(state.recordings) >= \
                 MAX_RECORDINGS_PER_KEY:
-            return self.system._step(tenant, index, trace, now)
-        return self._record(tenant, index, trace, now, state)
+            return system._step(tenant, index, trace, now)
+        return self._record(system, tenant, index, trace, now, state)
 
     # -- the recording path ---------------------------------------------
 
-    def _record(self, tenant, index, trace, now, state):
-        system = self.system
+    def _record(self, system, tenant, index, trace, now, state):
         registry = self.registry
         pre = self.adapter.capture(index, trace)
         snapshot = system.stats.snapshot()

@@ -23,8 +23,10 @@ Examples::
 """
 
 import argparse
+import atexit
 import os
 import sys
+import threading
 
 from .common.config import small_config
 from .common.config_io import load_config
@@ -915,8 +917,17 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
+def main(argv=None, one_shot=False):
+    """Run one ``fusion-sim`` command; returns its exit code.
+
+    ``one_shot`` says the process ends when this returns (only
+    :func:`entry` sets it): every command but ``serve`` then freezes
+    what its engine batches leave alive
+    (:func:`~repro.sim.engine.freeze_batch_survivors`).
+    """
     args = build_parser().parse_args(argv)
+    if one_shot and args.func is not _cmd_serve:
+        engine_mod.freeze_batch_survivors()
     if (args.jobs is not None or args.no_cache
             or args.timeout is not None or args.retries is not None):
         engine_mod.configure(
@@ -927,5 +938,31 @@ def main(argv=None):
     return args.func(args)
 
 
+def entry():
+    """Process entry of ``fusion-sim`` and ``python -m repro.cli``.
+
+    Runs :func:`main`; when it returns, the process ends without
+    tearing its heap down: the atexit handlers run, stdout and stderr
+    are flushed (the interpreter's own exit order), and ``os._exit``
+    ends the process with main's code.  Every file the CLI writes
+    (results, store rows, journal lines, session stats) is already
+    closed by then, and every pool already shut down.  When main raises
+    (``SystemExit`` included), another non-daemon thread still runs or
+    a flush fails (a closed pipe), the interpreter exits the usual way.
+    """
+    code = main(one_shot=True)
+    if any(not thread.daemon and thread.is_alive()
+           for thread in threading.enumerate()
+           if thread is not threading.main_thread()):
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(0 if code is None else code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -728,7 +728,7 @@ class AccL0XController:
         if info is None:
             info = self._window_quotes[key] = self._compile_window(
                 window, interval)
-        np = vector_windows.np
+        np = vector_windows.numpy()
         leases = info.lease_buf
         lines_of = self.cache._lines.get
         write_through = self._write_through
@@ -825,7 +825,7 @@ class AccL0XController:
                                interval, pairs):
         """The registry-independent batched-quote state (pure compile,
         shared by every controller quoting this window)."""
-        np = vector_windows.np
+        np = vector_windows.numpy()
         bounds = cls._guard_bounds(window, load_lat, store_lat,
                                    interval)
         store_rows = tuple(
@@ -840,7 +840,7 @@ class AccL0XController:
     @staticmethod
     def _guard_bounds(window, load_lat, store_lat, interval):
         """The conservative per-row lease bounds (pure compile)."""
-        np = vector_windows.np
+        np = vector_windows.numpy()
         mem_ops = np.array(window.mem_ops, dtype=np.float64)
         compute = np.array(window.compute, dtype=np.float64)
         num_stores = np.array(window.num_stores, dtype=np.int64)

@@ -36,6 +36,12 @@ throughput:
   ``REPRO_FAULT_SPEC`` (:mod:`repro.sim.faults`) injects deterministic
   crashes/hangs/cache corruption so all of it is testable in CI.
 
+* Automatic garbage collection is paused for the duration of each
+  batch (:func:`collector_paused`), pool workers included.  Every
+  simulation run leaves a cycle-free graph that refcounting frees, so
+  the collector would only re-traverse the batch's live traces and
+  results (docs/simulator.md §6.4).
+
 The driver (:mod:`repro.sim.simulator`) routes every ``run()`` through
 the process-wide engine, so single-point callers transparently share
 the same cache as batch submitters.
@@ -43,12 +49,14 @@ the same cache as batch submitters.
 
 import contextlib
 import copy
+import gc
 import hashlib
 import json
 import os
 import pathlib
 import pickle
 import tempfile
+import threading
 import time
 import warnings
 
@@ -84,6 +92,56 @@ CACHE_SCHEMA_VERSION = 2
 
 _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("", "0", "false", "no", "off")
+
+
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_pause_resume = False
+_pause_freezes = False
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Pause automatic garbage collection for the enclosed block.
+
+    Pauses nest and may overlap across threads (the sweep service runs
+    batches on executor threads): the first to enter records whether
+    collection was on and switches it off, the last to leave restores
+    that state.  Sound only because simulation runs are cycle-free
+    (``tests/test_heap.py``); never wrap code that builds reference
+    cycles in bulk, such as the model checker.
+    """
+    global _pause_depth, _pause_resume
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_resume = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0:
+                if _pause_freezes:
+                    gc.freeze()
+                if _pause_resume:
+                    gc.enable()
+
+
+def freeze_batch_survivors():
+    """From now on, move what a batch leaves alive into the collector's
+    permanent generation (``gc.freeze()``) as its pause ends.
+
+    Only for a process that ends soon after its batches, the one-shot
+    CLI (:func:`repro.cli.entry`): a batch's survivors (traces, plans,
+    results) live until exit, and collecting them after the pause only
+    walks them once more.  Never in a daemon: refcounting still frees
+    frozen objects, but a frozen cycle would live as long as the
+    process.
+    """
+    global _pause_freezes
+    _pause_freezes = True
 
 
 def _warn_env(name, value, why, fallback):
@@ -910,7 +968,14 @@ class ExecutionEngine:
         that still fails raises; with ``strict=False`` its slot holds a
         structured :class:`~repro.sim.results.FailedResult` so tables
         can render a hole instead of dying.
+
+        Automatic garbage collection is paused for the whole batch
+        (:func:`collector_paused`); pool workers start with it off.
         """
+        with collector_paused():
+            return self._run_batch(requests, jobs, strict, timeout)
+
+    def _run_batch(self, requests, jobs, strict, timeout):
         started = time.perf_counter()
         # Parse the fault spec eagerly: a typo in REPRO_FAULT_SPEC must
         # raise here, not be silently ignored because no pool worker or
@@ -1107,7 +1172,8 @@ class ExecutionEngine:
         respawns = 0
         while pending:
             workers = min(jobs, len(pending))
-            pool = ProcessPoolExecutor(max_workers=workers)
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       initializer=gc.disable)
             futures = {}
             for key, request in pending:
                 attempts[key] += 1
@@ -1242,7 +1308,8 @@ class ExecutionEngine:
         retry_next = []
         for key, request in suspects:
             attempts[key] += 1
-            pool = ProcessPoolExecutor(max_workers=1)
+            pool = ProcessPoolExecutor(max_workers=1,
+                                       initializer=gc.disable)
             future = pool.submit(_execute_timed, request, cache_root,
                                  cache_enabled, self.epoch)
             kill = False

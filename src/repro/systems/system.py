@@ -19,6 +19,7 @@ time-share one PID-tagged tile (Section 3.2, FUSION-MT) or get a tile
 each (Section 3.1, FUSION-2T); see :func:`coresident`.
 """
 
+import functools
 import itertools
 
 from ..accel import replay as replay_mod
@@ -127,11 +128,18 @@ class System:
                 now = tenant.host_core.produce(base, size, now)
         produce_snapshot = self.stats.snapshot()
         accel_start = now
-        now = self._accelerate(now)
-        accel_cycles = now - accel_start
-        for tenant in self.tenants:
-            for base, size in tenant.workload.host_output_arrays:
-                now = tenant.host_core.consume(base, size, now)
+        try:
+            now = self._accelerate(now)
+            accel_cycles = now - accel_start
+            for tenant in self.tenants:
+                for base, size in tenant.workload.host_output_arrays:
+                    now = tenant.host_core.consume(base, size, now)
+        finally:
+            # Every tile agent points back at the host (``.host``); the
+            # run is over, so drop the host's edges to them and leave a
+            # graph refcounting frees without the collector
+            # (docs/simulator.md §6.4).
+            self.host_mem.tile_agents.clear()
         return RunResult.from_system(self, accel_cycles=accel_cycles,
                                      total_cycles=now,
                                      energy_baseline=produce_snapshot)
@@ -146,7 +154,8 @@ class System:
         if self.replay_engine is not None:
             # Top rung of the fallback ladder: serve whole invocations
             # from the guarded replay cache (docs/simulator.md §11).
-            step = self.replay_engine.run_invocation
+            step = functools.partial(self.replay_engine.run_invocation,
+                                     self)
         streams = [[(tenant, index, trace) for index, trace in
                     enumerate(tenant.workload.invocations)]
                    for tenant in self.tenants]

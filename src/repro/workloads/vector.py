@@ -27,10 +27,11 @@ whole sequence of lease-stable phases in one pass:
   phase is in the stall-free closed-form regime (see
   :meth:`repro.accel.core.AxcCore._run_window`).
 
-numpy is an *optional* dependency: this module imports it behind a
-guard and every consumer checks :data:`HAVE_NUMPY` first, falling back
-to the per-phase rung (``repro.accel.core`` warns once) on a
-numpy-less install.
+numpy is an *optional* dependency: every consumer checks
+:data:`HAVE_NUMPY` first, falling back to the per-phase rung
+(``repro.accel.core`` warns once) on a numpy-less install.  numpy is
+imported at the first window compile or fold (:func:`numpy`), never at
+``import repro.cli``: a run served from the result cache never loads it.
 
 Vector plans are memoised on the trace object (``_vector_plans``, same
 pattern as ``_phase_plans``) so they ride the engine's prepared-workload
@@ -38,15 +39,26 @@ pickles and are evicted by
 :func:`repro.workloads.lowering.invalidate_lowered`.
 """
 
-try:
-    import numpy as np
-except ImportError:                 # pragma: no cover - numpy-less install
-    np = None
+import importlib.util
 
 from .phases import phase_plan
 
-#: True when numpy imported; every entry point below requires it.
-HAVE_NUMPY = np is not None
+#: True when numpy is installed; every entry point below requires it.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+
+_NOT_IMPORTED = object()
+
+#: The numpy module once :func:`numpy` has imported it; ``None`` on a
+#: numpy-less install.
+np = _NOT_IMPORTED if HAVE_NUMPY else None
+
+
+def numpy():
+    """The numpy module, imported on first use."""
+    global np
+    if np is _NOT_IMPORTED:
+        import numpy as np
+    return np
 
 #: Attribute used to memoise compiled vector plans on a trace object.
 _VECTOR_ATTR = "_vector_plans"
@@ -70,6 +82,7 @@ def accumulate(start, amounts):
     This is what lets the window ledger replace the per-phase energy
     replay loops without perturbing ``*_pj`` float rounding.
     """
+    np = numpy()
     buf = np.empty(len(amounts) + 1, dtype=np.float64)
     buf[0] = start
     buf[1:] = amounts
@@ -104,6 +117,7 @@ class VectorWindow:
     )
 
     def __init__(self, start, segment):
+        np = numpy()
         phases = tuple(phase for phase, _ in segment)
         self.phases = phases
         self.start = start
@@ -189,6 +203,7 @@ class VectorWindow:
     def op_kinds(self):
         """Per-mem-op kind codes in program order (an ``np.repeat``
         expansion of the SoA step stream; used by the window ledger)."""
+        np = numpy()
         mem = self.step_kind != KIND_COMPUTE
         return np.repeat(self.step_kind[mem],
                          self.step_count[mem]).astype(np.uint8)
@@ -330,6 +345,7 @@ def compile_window_ledger(load_pairs, store_pairs, window):
 
 def _amounts_array(kinds, load_amounts, store_amounts):
     """The program-ordered per-op amounts of one energy counter."""
+    np = numpy()
     n_load, n_store = len(load_amounts), len(store_amounts)
     if n_load <= 1 and n_store <= 1:
         if n_load and n_store:

@@ -45,6 +45,19 @@ def _isolated_result_cache(tmp_path_factory):
 
 
 @pytest.fixture
+def fresh_engine(tmp_path, monkeypatch):
+    """Isolate the process-wide engine (and its cache dir) per test."""
+    from repro.sim.engine import reset_engine
+    from repro.sim.simulator import clear_cache
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    clear_cache()   # drop the in-process result memo too
+    reset_engine()
+    yield
+    clear_cache()
+    reset_engine()
+
+
+@pytest.fixture
 def stats():
     return StatsRegistry()
 

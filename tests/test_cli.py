@@ -115,19 +115,6 @@ def test_command_required():
         main([])
 
 
-@pytest.fixture
-def fresh_engine(tmp_path, monkeypatch):
-    """Isolate the process-wide engine (and its cache dir) per test."""
-    from repro.sim.engine import reset_engine
-    from repro.sim.simulator import clear_cache
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    clear_cache()   # drop the in-process result memo too
-    reset_engine()
-    yield
-    clear_cache()
-    reset_engine()
-
-
 def test_parser_accepts_jobs_and_no_cache():
     args = build_parser().parse_args(
         ["--jobs", "4", "--no-cache", "run", "FUSION", "adpcm"])
