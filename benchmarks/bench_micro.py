@@ -137,8 +137,8 @@ def test_micro_acc_phase_steady(benchmark):
 
 def test_micro_phase_matches_coalesced():
     """Semantics gate: the phase path and the coalesced-run path end at
-    the same cycle (bit-identity across all counters is the property
-    suite's job — ``tests/test_property_phases.py``)."""
+    the same cycle (bit-identity across all counters is the
+    differential oracle's job — ``tests/test_oracle.py``)."""
     trace, core, l0x, access_run = _warm_run_setup()
     coalesced_end = core.run(trace, 0, l0x.access, mlp=4,
                              access_run=access_run)
@@ -192,7 +192,7 @@ def test_micro_acc_windows_vector(benchmark):
 def test_micro_vector_matches_phased():
     """Semantics gate: the batched window path and the per-phase path
     end at the same cycle (counter bit-identity is covered by
-    ``tests/test_property_vector.py``)."""
+    ``tests/test_oracle.py``)."""
     trace, core, l0x, access_run = _warm_window_setup()
     phased_end = core.run(trace, 0, l0x.access, mlp=4,
                           access_run=access_run,
@@ -249,7 +249,7 @@ def test_micro_fusion_fft_replayed(benchmark):
 def test_micro_replay_matches_phased():
     """Semantics gate: the replay rung reports results bit-identical to
     the phased path (the full property is pinned across systems and
-    adversarial leases by ``tests/test_property_replay.py``)."""
+    adversarial leases by ``tests/test_oracle.py``)."""
     workload = _iterated_fft_workload()
     phased = _run_fusion(workload, False)
     replayed = _run_fusion(workload, True)

@@ -216,7 +216,7 @@ def run_coalesce_measurement():
     steady-state run in one protocol step.  Both paths must end at the
     same cycle — the run-coalescing layer's bit-identity claim, pinned
     exhaustively by ``tests/test_golden_full.py`` and
-    ``tests/test_property_coalesce.py``.
+    ``tests/test_oracle.py``.
     """
     trace = make_run_trace()
     total_mem_ops = sum(1 for op in trace.ops if isinstance(op, MemOp))
@@ -265,7 +265,7 @@ def run_phase_measurement():
     one guard check, one ledger flush and one closed-form timeline
     application.  Both paths must end at the same cycle — bit-identity
     across every counter is pinned by
-    ``tests/test_property_phases.py``.
+    ``tests/test_oracle.py``.
     """
     trace = make_run_trace()
     total_mem_ops = sum(1 for op in trace.ops if isinstance(op, MemOp))
@@ -316,7 +316,7 @@ def run_vector_measurement():
     the whole window's guard collapses to one vectorised lease compare
     and its ledger to one bulk apply.  Both paths must end at the same
     cycle — bit-identity across every counter is pinned by
-    ``tests/test_property_vector.py``.
+    ``tests/test_oracle.py``.
 
     Returns ``None`` on a numpy-less install: the rung cannot engage
     there (it degrades to the per-phase path), so there is nothing to
@@ -379,7 +379,7 @@ def run_replay_measurement(repeats=3):
     from the guarded replay cache).  Timings are interleaved best-of-N
     on one machine state, and both paths must report bit-identical
     results — the rung's equivalence claim, pinned across systems and
-    adversarial leases by ``tests/test_property_replay.py``.
+    adversarial leases by ``tests/test_oracle.py``.
     """
     from repro.accel import replay as replay_mod
     from repro.common.config import small_config
@@ -444,7 +444,7 @@ def measure_grid(size="small", repeats=3):
     cold per-trace caches — the registry rebuild happens outside the
     timer, so lowering, DMA windows and MLP characterisation are paid
     inside it, exactly like a fresh process.  The two paths' grids must
-    be bit-identical (same fingerprint the property suites pin),
+    be bit-identical (same fingerprint the differential oracle pins),
     checked on the first repeat.
     """
     import repro.accel.core as core_mod

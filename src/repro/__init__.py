@@ -34,9 +34,8 @@ from .common import (
     large_config,
     small_config,
 )
-from .energy import EnergyBreakdown, breakdown_from_stats
-from .sim import ALL_EXPERIMENTS, ExperimentTable, RunResult, run, run_all
-from .systems import SYSTEMS
+# The workloads package first: it pulls in accel.tile, whose
+# coherence.acc imports repro.workloads.vector back.
 from .workloads import (
     BENCHMARKS,
     LABELS,
@@ -44,6 +43,9 @@ from .workloads import (
     build_workload_with_outputs,
     characterize,
 )
+from .energy import EnergyBreakdown, breakdown_from_stats
+from .sim import ALL_EXPERIMENTS, ExperimentTable, RunResult, run, run_all
+from .systems import SYSTEMS
 
 __version__ = "1.0.0"
 

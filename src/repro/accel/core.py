@@ -34,8 +34,8 @@ because every op in the run has the same latency and the same block.
 ``access_run`` returns ``None`` to decline (guard failed), in which
 case the run is expanded op-by-op through ``access_fn`` exactly as
 before.  The module-level ``COALESCE_RUNS`` switch (read at call time)
-force-disables the fast path — the coalesced-vs-per-op equivalence
-property test flips it to prove bit-identity.
+force-disables the fast path — the differential oracle
+(``tests/test_oracle.py``) flips it to prove bit-identity.
 
 Steady-state phases: one level above runs, the phase compiler
 (:mod:`repro.workloads.phases`) partitions the stream into windows that
@@ -49,15 +49,14 @@ entry state (outstanding fills expressed as clock offsets) in O(1) —
 a cache miss replays the issue timeline once, with no protocol calls,
 and serves every later entry with the same signature.  A declined quote
 drops the window to the per-run coalesced path, and below that the
-per-op path: the fallback ladder of ``docs/simulator.md`` §10.  ``STEADY_PHASES`` (initialised
-from the environment variable of the same name, read at call time like
-``COALESCE_RUNS``) toggles the path for equivalence testing.
+per-op path: the fallback ladder of ``docs/simulator.md`` §10.
+``STEADY_PHASES`` (read at call time like ``COALESCE_RUNS``) toggles
+the path for equivalence testing.
 
 Energy: Aladdin-style activity counts are charged per compute chunk.
 """
 
 import heapq
-import os
 import warnings
 
 from ..energy.accel_energy import INVOCATION_OVERHEAD_PJ, compute_energy_pj
@@ -70,11 +69,9 @@ from ..workloads.vector import vector_plan
 #: run the same workload through both paths.
 COALESCE_RUNS = True
 
-#: Global enable for the steady-state phase fast path; the environment
-#: variable ``STEADY_PHASES`` (0/false/off to disable) sets the initial
-#: value, and the equivalence property tests flip the module attribute.
-STEADY_PHASES = os.environ.get("STEADY_PHASES", "1").strip().lower() \
-    not in ("0", "false", "off", "no")
+#: Global enable for the steady-state phase fast path; the differential
+#: oracle (``tests/test_oracle.py``) flips the module attribute.
+STEADY_PHASES = True
 
 #: Global enable for the vectorised phase-window fast path (the fifth
 #: rung: whole sequences of lease-stable phases batch-quoted and
@@ -82,8 +79,7 @@ STEADY_PHASES = os.environ.get("STEADY_PHASES", "1").strip().lower() \
 #: requires numpy — on a numpy-less install the rung silently (after
 #: one warning) degrades to the per-phase path, so results never
 #: depend on whether numpy is importable.
-VECTOR_PHASES = os.environ.get("VECTOR_PHASES", "1").strip().lower() \
-    not in ("0", "false", "off", "no")
+VECTOR_PHASES = True
 
 _warned_no_numpy = False
 

@@ -38,20 +38,16 @@ Soundness rests on three pillars:
   ``t0``; anything else declines to the phase rung, so every op is
   still served by exactly one rung.
 
-Gate with ``REPLAY_INVOCATIONS`` (environment variable or module flag,
-like ``STEADY_PHASES``).  See ``docs/simulator.md`` §11.
+Gate with the ``REPLAY_INVOCATIONS`` module flag, like
+``STEADY_PHASES``.  See ``docs/simulator.md`` §11.
 """
-
-import os
 
 from ..common.types import ComputeOp, MemOp
 from ..mem.cache import CacheLine
 
-#: Master toggle for the invocation replay rung.  The environment
-#: variable is read once at import; tests flip the module attribute.
-REPLAY_INVOCATIONS = os.environ.get(
-    "REPLAY_INVOCATIONS", "1").strip().lower() not in (
-        "0", "false", "off", "no")
+#: Master toggle for the invocation replay rung; the differential
+#: oracle (``tests/test_oracle.py``) flips the module attribute.
+REPLAY_INVOCATIONS = True
 
 #: At most this many state variants are recorded per invocation key
 #: before the engine stops recording and only probes/falls back.

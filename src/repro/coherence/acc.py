@@ -551,7 +551,7 @@ class AccL0XController:
 
         Accounting is flushed in bulk through the prebuilt flushers and
         the LRU clock advances by ``count`` — bit-identical to the
-        per-op path by construction (``tests/test_property_coalesce.py``
+        per-op path by construction (``tests/test_oracle.py``
         and the golden gate are the proof).
         """
         if not self._fixed_lease:

@@ -16,8 +16,6 @@ Components (stat prefixes -> display names):
 
 from dataclasses import dataclass, field
 
-from ..workloads import vector as _vector
-
 #: Ordered component keys used by reports and plots.
 COMPONENTS = (
     "compute", "local", "l1x", "l2", "dram",
@@ -98,24 +96,14 @@ def _prefix_total(snapshot, name):
     scope-prefixed counters (``tile0.name`` / ``tile0.name.*``) — the
     latter appear when a multi-tile system namespaces each tile's stats.
 
-    The matched values fold in snapshot iteration order.  With numpy
-    available the fold is one ``numpy.add.accumulate`` pass
-    (:func:`repro.workloads.vector.accumulate`) — a strict serial left
-    fold, so the float result is bit-identical to the plain
-    ``total += value`` loop it replaces (pinned by
-    ``tests/test_accounting.py``); without numpy the Python loop runs.
+    The matched values fold serially in snapshot iteration order, so
+    the float result never depends on anything but the snapshot.
     """
     total = snapshot.get(name, 0.0)
     prefix = name + "."
     suffix = "." + name
     infix = "." + name + "."
-    matched = [value for key, value in snapshot.items()
-               if key.startswith(prefix) or key.endswith(suffix)
-               or infix in key]
-    if not matched:
-        return total
-    if _vector.HAVE_NUMPY:
-        return _vector.accumulate(total, matched)
-    for value in matched:
-        total += value
+    for key, value in snapshot.items():
+        if key.startswith(prefix) or key.endswith(suffix) or infix in key:
+            total += value
     return total

@@ -127,15 +127,28 @@ def run_key(point):
 
 
 def point_request(point):
-    """Rebuild the :class:`RunRequest` one stored point describes."""
-    axes = []
-    for kind, label in point["axes"]:
-        if kind not in AXIS_KINDS:
+    """Rebuild the :class:`RunRequest` one stored point describes.
+
+    Raises :class:`ConfigError` when the point is not a dict with string
+    ``system``/``benchmark``/``size`` and ``axes`` of ``[kind, integer
+    label]`` pairs of known kinds.
+    """
+    try:
+        names = point["system"], point["benchmark"], point["size"]
+        axes = [(kind, int(label)) for kind, label in point["axes"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("malformed stored point: {!r}".format(exc))
+    if not all(isinstance(name, str) for name in names):
+        raise ConfigError("stored point names must be strings, got {!r}"
+                          .format(names))
+    for kind, _label in axes:
+        if not isinstance(kind, str) or kind not in AXIS_KINDS:
             raise ConfigError("stored point has unknown axis kind {!r}"
                               .format(kind))
-        axes.append(AXIS_KINDS[kind](int(label)))
+    system, benchmark, size = names
     points, requests = grid_points(
-        [point["system"]], [point["benchmark"]], axes, point["size"])
+        [system], [benchmark],
+        [AXIS_KINDS[kind](label) for kind, label in axes], size)
     assert len(requests) == 1
     return requests[0]
 

@@ -32,6 +32,7 @@ via :attr:`EngineJournal.on_record`, so ``fetch``/``doctor`` can see
 
 import asyncio
 import json
+import math
 import os
 import socket
 import tempfile
@@ -140,15 +141,19 @@ class SweepService:
             await self._run_claimed(loop, claimed)
 
     async def _run_claimed(self, loop, claimed):
-        keys = [key for key, _point in claimed]
-        try:
-            requests = [jobs_mod.point_request(point)
-                        for _key, point in claimed]
-        except (ConfigError, KeyError, ValueError) as exc:
-            for key in keys:
-                self.store.fail(key, "unexpandable point: {!r}"
-                                .format(exc), code_fingerprint())
+        # A stored point that does not expand fails its own row; the
+        # rest of the batch runs.
+        expanded = []
+        for key, point in claimed:
+            try:
+                expanded.append((key, jobs_mod.point_request(point)))
+            except ConfigError as exc:
+                self.store.fail(key, "unexpandable point: {}".format(exc),
+                                code_fingerprint())
+        if not expanded:
             return
+        keys = [key for key, _request in expanded]
+        requests = [request for _key, request in expanded]
         future = loop.run_in_executor(
             None, lambda: self.engine.run_batch(requests, strict=False))
         # Renew the leases while the batch runs so a slow grid is not
@@ -170,8 +175,7 @@ class SweepService:
             self.store.record_event("service", "batch_error",
                                     error=repr(exc), rows=len(keys))
             return
-        for (key, _point), request, result in zip(claimed, requests,
-                                                  results):
+        for key, request, result in zip(keys, requests, results):
             if is_failure(result):
                 self.store.fail(key, result.error, code_fingerprint())
             else:
@@ -192,9 +196,8 @@ class SweepService:
                     request = json.loads(line.decode("utf-8"))
                     if not isinstance(request, dict):
                         raise ValueError("request must be an object")
-                except (ValueError, UnicodeDecodeError) as exc:
-                    await self._send(writer, {"ok": False,
-                                              "error": repr(exc)})
+                except (ValueError, RecursionError) as exc:
+                    await self._send(writer, _error(exc))
                     continue
                 op = request.get("op")
                 if op == "watch":
@@ -252,10 +255,8 @@ class SweepService:
                 return {"ok": True, "stopping": True}
             return {"ok": False,
                     "error": "unknown op {!r}".format(op)}
-        except (ConfigError, KeyError) as exc:
-            return {"ok": False, "error": str(exc)}
         except Exception as exc:  # daemon must not die on one request
-            return {"ok": False, "error": repr(exc)}
+            return _error(exc)
 
     def _op_fetch(self, request):
         job_id = request.get("job_id")
@@ -280,13 +281,18 @@ class SweepService:
     async def _op_watch(self, writer, request):
         """Stream status snapshots until the job finishes."""
         job_id = request.get("job_id")
-        interval = max(0.05, float(request.get("interval", 0.2)))
+        try:
+            interval = float(request.get("interval", 0.2))
+            if not math.isfinite(interval):
+                raise ValueError("interval must be finite")
+        except (TypeError, ValueError) as exc:
+            await self._send(writer, _error(exc))
+            return True
         while True:
             try:
                 counts = self.store.job_status(job_id)
-            except KeyError as exc:
-                await self._send(writer, {"ok": False,
-                                          "error": str(exc)})
+            except Exception as exc:
+                await self._send(writer, _error(exc))
                 return True
             counts["ok"] = True
             counts["finished_all"] = (
@@ -294,7 +300,15 @@ class SweepService:
             await self._send(writer, counts)
             if counts["finished_all"]:
                 return True
-            await asyncio.sleep(interval)
+            await asyncio.sleep(max(0.05, interval))
+
+
+def _error(exc):
+    """The error reply for a request that raised ``exc``: the message of
+    an expected error (bad config, unknown job), else its repr."""
+    if isinstance(exc, (ConfigError, KeyError)):
+        return {"ok": False, "error": str(exc)}
+    return {"ok": False, "error": repr(exc)}
 
 
 class ServiceClient:

@@ -203,7 +203,9 @@ class ExperimentStore:
         when ``pending``, or ``claimed`` with an expired lease (its
         worker died mid-run).  Returns the claimed rows as
         ``(key, point_dict)`` pairs; attempts are incremented here so
-        abandoned claims are visible in the error columns.
+        abandoned claims are visible in the error columns.  A runnable
+        row whose point is not a JSON object is marked ``failed`` with a
+        ``malformed point`` error instead of being claimed.
         """
         now = time.time()
         claimed = []
@@ -216,6 +218,18 @@ class ExperimentStore:
                     "(status = 'claimed' AND claim_expires < ?) "
                     "ORDER BY created LIMIT ?", (now, limit)).fetchall()
                 for row in rows:
+                    try:
+                        point = json.loads(row["point"])
+                        if not isinstance(point, dict):
+                            raise ValueError("not an object")
+                    except (ValueError, RecursionError) as exc:
+                        self._conn.execute(
+                            "UPDATE runs SET status = 'failed', "
+                            "updated = ?, claim_expires = NULL, "
+                            "error = ? WHERE key = ?",
+                            (now, "malformed point: {!r}".format(exc),
+                             row["key"]))
+                        continue
                     cursor = self._conn.execute(
                         "UPDATE runs SET status = 'claimed', "
                         "owner = ?, attempts = attempts + 1, "
@@ -224,8 +238,7 @@ class ExperimentStore:
                         "(status = 'claimed' AND claim_expires < ?))",
                         (owner, now, now + lease_s, row["key"], now))
                     if cursor.rowcount:
-                        claimed.append((row["key"],
-                                        json.loads(row["point"])))
+                        claimed.append((row["key"], point))
                 self._conn.execute("COMMIT")
             except BaseException:
                 self._conn.execute("ROLLBACK")
