@@ -42,6 +42,11 @@ COMBOS = tuple(itertools.product((False, True), repeat=4))
 PER_OP, ALL_ON = COMBOS[0], COMBOS[-1]
 
 
+def rung_off(flag):
+    """The shipped default with rung ``flag`` alone switched off."""
+    return tuple(name != flag for _module, name in RUNG_FLAGS)
+
+
 @contextlib.contextmanager
 def rungs(combo=ALL_ON):
     """Set the four rung flags to ``combo`` for the body, then restore."""
@@ -108,10 +113,10 @@ def bodies(draw, pool, parity):
     return tuple(segments) * draw(st.integers(1, 3))
 
 
-def functions(pool):
+def functions(pool, leases=LEASES):
     """1-3 functions: ``((lease, segments), ...)``."""
     return st.integers(1, 3).flatmap(lambda count: st.tuples(*(
-        st.tuples(st.sampled_from(LEASES), bodies(pool, index % 2))
+        st.tuples(st.sampled_from(leases), bodies(pool, index % 2))
         for index in range(count))))
 
 
@@ -127,12 +132,12 @@ def perturbations(lines):
 
 
 @st.composite
-def cases(draw):
+def cases(draw, pools=(POOL, PRESSURE_POOL), leases=LEASES):
     """``(pool, functions, schedule, (partner, rounds))``: the schedule
     repeats the functions round-robin with perturbations in between; the
     partner is the co-resident systems' second tenant."""
-    pool = draw(st.sampled_from((POOL, PRESSURE_POOL)))
-    fns = draw(functions(pool))
+    pool = draw(st.sampled_from(pools))
+    fns = draw(functions(pool, leases))
     # Perturb the lines the functions touch, so a stale recording shows.
     between = perturbations(sorted({
         segment[0] % pool for _lease, segments in fns
@@ -202,6 +207,16 @@ MAKERS["POLICY bandit"] = _maker("POLICY",
 for _name, _per_tile in (("FUSION-MT", False), ("FUSION-2T", True)):
     MAKERS[_name] = lambda workload, partner, per_tile=_per_tile: \
         coresident(CONFIG, [workload, partner], per_tile=per_tile)
+
+#: The co-resident topologies, and every system that runs one workload.
+CORESIDENT = ("FUSION-MT", "FUSION-2T")
+SOLO_MAKERS = {name: make for name, make in MAKERS.items()
+               if name not in CORESIDENT}
+
+
+def pick(*names):
+    """The makers of the systems ``names``."""
+    return {name: MAKERS[name] for name in names}
 
 
 def with_host_writes(system, writes):
