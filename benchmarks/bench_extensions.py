@@ -5,7 +5,7 @@ multi-tenancy."""
 from repro.common.config import small_config
 from repro.sim.reporting import ExperimentTable
 from repro.sim.simulator import run
-from repro.systems import SYSTEMS, coresident
+from repro.systems import SYSTEMS
 from repro.workloads.registry import BENCHMARKS, LABELS, build_workload
 
 
@@ -98,11 +98,9 @@ def test_multitenant_isolation(benchmark, report, size):
         table = ExperimentTable(
             "Ext multitenant", "PID-tagged tile sharing (FUSION-MT)",
             ["Scenario", "Cycles", "PIDconflicts", "L1Xmisses"])
-        wl_a = build_workload("adpcm", size)
-        wl_b = build_workload("filter", size)
-        solo_a = SYSTEMS["FUSION"](small_config(), wl_a).run()
-        solo_b = SYSTEMS["FUSION"](small_config(), wl_b).run()
-        pair = coresident(small_config(), [wl_a, wl_b]).run()
+        solo_a = run("FUSION", "adpcm", size)
+        solo_b = run("FUSION", "filter", size)
+        pair = run("FUSION", "adpcm+filter", size)
         table.add_row("adpcm alone", solo_a.accel_cycles, 0,
                       int(solo_a.stat("l1x.misses")))
         table.add_row("filter alone", solo_b.accel_cycles, 0,

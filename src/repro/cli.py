@@ -3,12 +3,13 @@
 Examples::
 
     fusion-sim run FUSION histogram --size small
+    fusion-sim run FUSION 'adpcm+filter' --size tiny
+    fusion-sim run FUSION-Dx+SHARED 'fft|adpcm' --size tiny
     fusion-sim experiment fig6b --size small --format csv
     fusion-sim experiment all --size full
     fusion-sim compare fft --size small
     fusion-sim area --axcs 6
     fusion-sim trace fft /tmp/fft.trace --size small
-    fusion-sim multitenant adpcm filter --size tiny
     fusion-sim --jobs 4 experiment all --size full
     fusion-sim --no-cache run FUSION fft --size small
     fusion-sim --timeout 300 --retries 3 experiment all --size full
@@ -34,11 +35,33 @@ from .common.errors import ConfigError
 from .energy.area import area_table, tile_area
 from .sim import charts, export
 from .sim import engine as engine_mod
+from .sim.engine import RunRequest
 from .sim.experiments import ALL_EXPERIMENTS, table2
 from .sim.simulator import run
-from .systems import SYSTEMS, coresident
+from .systems import SYSTEMS, build_system, resolve
 from .workloads import trace_io
-from .workloads.registry import BENCHMARKS, build_workload
+from .workloads.registry import BENCHMARKS, SIZES, build_workload
+
+
+class _RequestSpelling(argparse.Action):
+    """Store ``benchmark`` once :func:`repro.systems.resolve` accepts it
+    with the ``system`` before it, so a bad name is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        try:
+            resolve(RunRequest(namespace.system, value))
+        except ConfigError as exc:
+            raise argparse.ArgumentError(None, str(exc))
+        setattr(namespace, self.dest, value)
+
+
+def _add_request(parser):
+    parser.add_argument("system", help="one of {}, or one per process "
+                        "joined by '+'".format(", ".join(SYSTEMS)))
+    parser.add_argument("benchmark", action=_RequestSpelling,
+                        help="one of {}, or several joined by '+' (one "
+                        "shared tile) or '|' (a tile each)".format(
+                            ", ".join(BENCHMARKS)))
 
 
 def _cmd_run(args):
@@ -60,6 +83,9 @@ def _cmd_run(args):
             print("  {:<20s} {:.3f} uJ".format(component, value / 1e6))
     print("tile link  : {:.2f} flits/cycle".format(
         result.link_utilization()))
+    if result.system == "FUSION-MT":
+        print("L1X PID conflicts: {}".format(
+            int(result.stat("l1x.pid_conflicts"))))
     return 0
 
 
@@ -129,22 +155,6 @@ def _cmd_trace(args):
     ops = sum(len(t.ops) for t in workload.invocations)
     print("wrote {} ({} invocations, {} ops)".format(
         args.path, len(workload.invocations), ops))
-    return 0
-
-
-def _cmd_multitenant(args):
-    workloads = [build_workload(name, args.size)
-                 for name in args.benchmarks]
-    result = coresident(small_config(), workloads,
-                        per_tile=args.per_tile).run()
-    conflicts = ("n/a (dedicated tiles)" if args.per_tile
-                 else int(result.stat("l1x.pid_conflicts")))
-    print("processes        : {}".format(result.benchmark))
-    print("tiles            : {}".format(
-        len(workloads) if args.per_tile else 1))
-    print("accel cycles     : {}".format(result.accel_cycles))
-    print("energy (uJ)      : {:.3f}".format(result.energy.total_pj / 1e6))
-    print("L1X PID conflicts: {}".format(conflicts))
     return 0
 
 
@@ -236,19 +246,16 @@ def _cmd_profile(args):
     import pstats
 
     config = load_config(args.config) if args.config else small_config()
+    request = RunRequest(args.system, args.benchmark, args.size, config)
     profiler = cProfile.Profile()
     if args.include_build:
         profiler.enable()
-        workload = build_workload(args.benchmark, args.size)
-        system = SYSTEMS[args.system](config, workload)
-        result = system.run()
-        profiler.disable()
-    else:
-        workload = build_workload(args.benchmark, args.size)
-        system = SYSTEMS[args.system](config, workload)
+    system = build_system(
+        request, lambda benchmark: build_workload(benchmark, args.size))
+    if not args.include_build:
         profiler.enable()
-        result = system.run()
-        profiler.disable()
+    result = system.run()
+    profiler.disable()
     print("{} on {} (size={}): accel {} cycles, total {} cycles".format(
         args.system, args.benchmark, args.size, result.accel_cycles,
         result.total_cycles))
@@ -291,12 +298,11 @@ def _cmd_cache(args):
         entries, total_bytes / 1024.0))
     print("trace entries  : {} ({:.1f} kB prepared workloads)".format(
         trace_entries, trace_bytes / 1024.0))
-    phase_entries, phase_windows = cache.phase_stats()
+    phase, vector = cache.plan_stats()
     print("phase entries  : {} compiled plan(s), {} phase window(s)".format(
-        phase_entries, phase_windows))
-    vector_entries, vector_windows = cache.vector_stats()
+        *phase))
     print("vector entries : {} SoA plan(s), {} vector window(s)".format(
-        vector_entries, vector_windows))
+        *vector))
     stale_entries, stale_bytes = cache.stale_schema_stats()
     if stale_entries:
         print("stale schema   : {} old-schema entrie(s) ({:.1f} kB; "
@@ -345,7 +351,7 @@ def _cmd_doctor(args):
     import contextlib
 
     from .sim import faults
-    from .sim.engine import DiskCache, ExecutionEngine, RunRequest
+    from .sim.engine import DiskCache, ExecutionEngine
 
     engine = engine_mod.get_engine()
     failures = []
@@ -695,12 +701,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_size(p):
-        p.add_argument("--size", default="full",
-                       choices=("full", "small", "tiny"))
+        p.add_argument("--size", default="full", choices=SIZES)
 
     run_p = sub.add_parser("run", help="run one system on one benchmark")
-    run_p.add_argument("system", choices=sorted(SYSTEMS))
-    run_p.add_argument("benchmark", choices=BENCHMARKS)
+    _add_request(run_p)
     add_size(run_p)
     run_p.add_argument("--format", default="text",
                        choices=("text", "json"))
@@ -729,8 +733,7 @@ def build_parser():
                             "(default: FUSION)")
     swp_p.add_argument("--benchmarks", default=",".join(BENCHMARKS),
                        help="comma-separated benchmarks (default: all)")
-    swp_p.add_argument("--size", default="small",
-                       choices=("full", "small", "tiny"))
+    swp_p.add_argument("--size", default="small", choices=SIZES)
     swp_p.add_argument("--axis", action="append", metavar="KIND=V1,V2",
                        help="config axis: lease, l0x_kb or l1x_kb "
                             "(repeatable)")
@@ -767,15 +770,6 @@ def build_parser():
     add_size(trace_p)
     trace_p.set_defaults(func=_cmd_trace)
 
-    mt_p = sub.add_parser("multitenant",
-                          help="co-run workloads on one PID-tagged tile")
-    mt_p.add_argument("benchmarks", nargs="+", choices=BENCHMARKS)
-    mt_p.add_argument("--per-tile", action="store_true",
-                      help="give each workload its own tile instead of "
-                           "time-sharing one")
-    add_size(mt_p)
-    mt_p.set_defaults(func=_cmd_multitenant)
-
     par_p = sub.add_parser("parallelism",
                            help="invocation-level parallelism profile "
                                 "and pipelined speedup")
@@ -789,8 +783,7 @@ def build_parser():
     prof_p = sub.add_parser("profile",
                             help="cProfile one uncached simulation and "
                                  "print the hottest functions")
-    prof_p.add_argument("system", choices=sorted(SYSTEMS))
-    prof_p.add_argument("benchmark", choices=BENCHMARKS)
+    _add_request(prof_p)
     add_size(prof_p)
     prof_p.add_argument("--top", type=int, default=25, metavar="N",
                         help="rows of the profile report (default 25)")
@@ -875,8 +868,7 @@ def build_parser():
                        help="comma-separated system list")
     sub_p.add_argument("--benchmarks", required=True,
                        help="comma-separated benchmark list")
-    sub_p.add_argument("--size", default="tiny",
-                       choices=("full", "small", "tiny"))
+    sub_p.add_argument("--size", default="tiny", choices=SIZES)
     sub_p.add_argument("--axis", action="append", metavar="KIND=V1,V2",
                        help="sweep axis, e.g. lease=100,500 or "
                             "l0x_kb=4,8 (repeatable)")

@@ -73,7 +73,7 @@ from functools import lru_cache
 
 from ..common.config import config_fingerprint, small_config
 from ..common.errors import ConfigError, ExecutionError, RunTimeout
-from ..systems import SYSTEMS
+from ..systems import build_system, resolve
 from ..workloads.characterize import function_mlp
 from ..workloads.lowering import LOWERING_VERSION, lower_workload
 from ..workloads.registry import build_workload
@@ -266,7 +266,8 @@ def code_fingerprint():
 
 @dataclass(frozen=True)
 class RunRequest:
-    """One simulation point: what :func:`repro.run` takes, as a value."""
+    """One simulation point: what :func:`repro.run` takes, as a value
+    (spelled as :func:`repro.systems.resolve` defines)."""
 
     system: str
     benchmark: str
@@ -356,17 +357,11 @@ def _execute(request, cache=None, epoch=None):
     inherit), while in-process engines pass their own so a test engine
     with a private cache root never writes outside it.
     """
-    if request.system not in SYSTEMS:
-        raise ConfigError(
-            "unknown system {!r}; expected one of {}".format(
-                request.system, ", ".join(SYSTEMS)))
     if cache is None:
         engine = get_engine()
         cache, epoch = engine.cache, engine.epoch
-    workload = prepared_workload(request.benchmark, request.size,
-                                 cache, epoch or 0)
-    system = SYSTEMS[request.system](request.config, workload)
-    return system.run()
+    return build_system(request, lambda benchmark: prepared_workload(
+        benchmark, request.size, cache, epoch or 0)).run()
 
 
 #: Per-worker-process DiskCache instances keyed by (root, enabled), so
@@ -699,48 +694,14 @@ class DiskCache:
         """Return ``(entries, total_bytes)`` for prepared-trace pickles."""
         return self._tally(self._trace_dir())
 
-    def phase_stats(self):
-        """Return ``(plan_entries, phases)`` across prepared workloads.
-
-        Tallies the compiled steady-state phase plans riding in the
-        prepared-trace pickles (in-memory entries included, each
-        workload once): ``plan_entries`` counts the memoised plan
-        variants across invocation traces and ``phases`` the distinct
-        compiled phase windows inside them — the artifacts
-        ``invalidate_lowered`` evicts alongside the lowered streams.
-        """
+    def plan_stats(self):
+        """Return ``((phase_entries, phases), (vector_entries, windows))``:
+        the memoised phase and SoA vector plan variants riding in the
+        prepared workloads (in-memory entries included, each pickle read
+        once), and the distinct compiled windows inside them — the
+        artifacts ``invalidate_lowered`` evicts alongside the lowered
+        streams.  The vector tally is zero on a numpy-less install."""
         from ..workloads.phases import plan_summary
-
-        workloads = {}
-        for index_key, workload in self._index.items():
-            if index_key[1] == "trace":
-                workloads[index_key[2]] = workload
-        trace_dir = self._trace_dir()
-        if trace_dir.is_dir():
-            for path in sorted(trace_dir.rglob("*.pkl")):
-                if path.stem in workloads:
-                    continue
-                workload = self._read_pickle(path)
-                if workload is not None:
-                    workloads[path.stem] = workload
-        plan_entries, phases = 0, 0
-        for workload in workloads.values():
-            for trace in workload.invocations:
-                entries, windows = plan_summary(trace)
-                plan_entries += entries
-                phases += windows
-        return plan_entries, phases
-
-    def vector_stats(self):
-        """Return ``(plan_entries, windows)`` for SoA vector plans.
-
-        The vector-rung analogue of :meth:`phase_stats`: tallies the
-        structure-of-arrays plans memoised on prepared-workload traces
-        (``_vector_plans``), counting memoised plan variants and the
-        distinct compiled :class:`~repro.workloads.vector.VectorWindow`
-        objects inside them.  Zero on a numpy-less install (the plans
-        are never built there).
-        """
         from ..workloads.vector import vector_summary
 
         workloads = {}
@@ -755,13 +716,16 @@ class DiskCache:
                 workload = self._read_pickle(path)
                 if workload is not None:
                     workloads[path.stem] = workload
-        plan_entries, windows = 0, 0
+        phase_entries = phases = vector_entries = windows = 0
         for workload in workloads.values():
             for trace in workload.invocations:
+                entries, count = plan_summary(trace)
+                phase_entries += entries
+                phases += count
                 entries, count = vector_summary(trace)
-                plan_entries += entries
+                vector_entries += entries
                 windows += count
-        return plan_entries, windows
+        return (phase_entries, phases), (vector_entries, windows)
 
     def temp_stats(self):
         """Return ``(count, total_bytes)`` for orphaned ``.tmp-*`` files.
@@ -969,6 +933,9 @@ class ExecutionEngine:
         structured :class:`~repro.sim.results.FailedResult` so tables
         can render a hole instead of dying.
 
+        A request :func:`repro.systems.resolve` rejects raises
+        :class:`ConfigError` before anything runs, whatever ``strict``.
+
         Automatic garbage collection is paused for the whole batch
         (:func:`collector_paused`); pool workers start with it off.
         """
@@ -983,10 +950,7 @@ class ExecutionEngine:
         faults.fault_plan()
         normalized = [request.normalized() for request in requests]
         for request in normalized:
-            if request.system not in SYSTEMS:
-                raise ConfigError(
-                    "unknown system {!r}; expected one of {}".format(
-                        request.system, ", ".join(SYSTEMS)))
+            resolve(request)
 
         # Deduplicate on the cache key; unkeyable requests dedupe on the
         # request value itself when hashable, else run individually.

@@ -20,8 +20,8 @@ import hashlib
 import json
 
 from ..common.errors import ConfigError
-from ..systems import SYSTEMS
-from ..workloads.registry import BENCHMARKS
+from ..systems import resolve
+from .engine import RunRequest
 from .sweep import METRICS, grid_points, l0x_axis, l1x_axis, lease_axis
 
 #: Axis kinds a serializable spec may use, mapped to the sweep-axis
@@ -32,8 +32,6 @@ AXIS_KINDS = {
     "l1x_kb": l1x_axis,
 }
 
-SIZES = ("full", "small", "tiny")
-
 DEFAULT_METRICS = ("accel_cycles", "energy_uj")
 
 
@@ -41,10 +39,11 @@ def normalize_spec(spec):
     """Validate a job-spec dict; returns the canonical copy.
 
     Raises :class:`ConfigError` on anything the daemon could not
-    expand: unknown systems/benchmarks/sizes, unknown axis kinds or
-    metrics, empty grids.  Canonicalisation keeps submission hashes
-    stable: axis values become strings (the sweep's point labels),
-    metrics default to :data:`DEFAULT_METRICS`.
+    expand: a system/benchmark pair :func:`repro.systems.resolve`
+    rejects, unknown axis kinds or metrics, empty grids.
+    Canonicalisation keeps submission hashes stable: axis values become
+    strings (the sweep's point labels), metrics default to
+    :data:`DEFAULT_METRICS`.
     """
     if not isinstance(spec, dict):
         raise ConfigError("job spec must be a dict, got {!r}"
@@ -54,19 +53,10 @@ def normalize_spec(spec):
     if not systems or not benchmarks:
         raise ConfigError("job spec needs non-empty 'systems' and "
                           "'benchmarks' lists")
-    for system in systems:
-        if system not in SYSTEMS:
-            raise ConfigError("unknown system {!r}; expected one of {}"
-                              .format(system, ", ".join(SYSTEMS)))
-    for benchmark in benchmarks:
-        if benchmark not in BENCHMARKS:
-            raise ConfigError(
-                "unknown benchmark {!r}; expected one of {}"
-                .format(benchmark, ", ".join(BENCHMARKS)))
     size = spec.get("size", "tiny")
-    if size not in SIZES:
-        raise ConfigError("unknown size {!r}; expected one of {}"
-                          .format(size, ", ".join(SIZES)))
+    for system in systems:
+        for benchmark in benchmarks:
+            resolve(RunRequest(system, benchmark, size))
     axes = []
     for axis in spec.get("axes") or ():
         kind = axis.get("kind") if isinstance(axis, dict) else None
@@ -129,23 +119,21 @@ def run_key(point):
 def point_request(point):
     """Rebuild the :class:`RunRequest` one stored point describes.
 
-    Raises :class:`ConfigError` when the point is not a dict with string
-    ``system``/``benchmark``/``size`` and ``axes`` of ``[kind, integer
-    label]`` pairs of known kinds.
+    Raises :class:`ConfigError` when the point is not a dict with
+    ``system``/``benchmark``/``size`` that :func:`repro.systems.resolve`
+    accepts and ``axes`` of ``[kind, integer label]`` pairs of known
+    kinds.
     """
     try:
-        names = point["system"], point["benchmark"], point["size"]
+        system, benchmark, size = (point["system"], point["benchmark"],
+                                   point["size"])
         axes = [(kind, int(label)) for kind, label in point["axes"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("malformed stored point: {!r}".format(exc))
-    if not all(isinstance(name, str) for name in names):
-        raise ConfigError("stored point names must be strings, got {!r}"
-                          .format(names))
     for kind, _label in axes:
         if not isinstance(kind, str) or kind not in AXIS_KINDS:
             raise ConfigError("stored point has unknown axis kind {!r}"
                               .format(kind))
-    system, benchmark, size = names
     points, requests = grid_points(
         [system], [benchmark],
         [AXIS_KINDS[kind](label) for kind, label in axes], size)

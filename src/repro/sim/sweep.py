@@ -21,6 +21,7 @@ from dataclasses import replace
 
 from ..common.config import CacheConfig, small_config
 from ..common.units import KB
+from ..systems import resolve
 from .engine import RunRequest, get_engine
 from .reporting import ExperimentTable, result_cells
 
@@ -133,6 +134,9 @@ def grid_points(systems, benchmarks, axes, size="small",
 
     Returns ``(points, requests)`` where ``points`` is a list of
     ``(system, benchmark, labels)`` tuples aligned with ``requests``.
+    Every system/benchmark pair is checked by
+    :func:`repro.systems.resolve` first, so a co-resident spelling like
+    ``FUSION+SCRATCH`` on ``adpcm+filter`` is one more point.
     Shared by :func:`sweep` and the service's serializable job specs
     (:mod:`repro.sim.jobs`), so a daemon-expanded grid is bit-identical
     to the one a direct ``sweep()`` call would submit.
@@ -141,6 +145,7 @@ def grid_points(systems, benchmarks, axes, size="small",
     points, requests = [], []
     for system in systems:
         for benchmark in benchmarks:
+            resolve(RunRequest(system, benchmark, size))
             for labels, transforms in _grid(axes):
                 config = base_config
                 for transform in transforms:

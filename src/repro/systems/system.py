@@ -16,7 +16,8 @@ of tenants — one process each: a workload, its selector, page table and
 host core — plus a topology.  With one tenant the tenant binds its own
 machinery; that is every registry system.  Several tenants either
 time-share one PID-tagged tile (Section 3.2, FUSION-MT) or get a tile
-each (Section 3.1, FUSION-2T); see :func:`coresident`.
+each (Section 3.1, FUSION-2T); :func:`repro.systems.build_system` builds
+them from a request's spelling.
 """
 
 import functools
@@ -65,9 +66,12 @@ class System:
 
     def __init__(self, config, tenants, per_tile=False):
         """``tenants`` lists ``(workload, selector)`` pairs; ``per_tile``
-        gives each its own tile instead of one shared PID-tagged tile."""
+        gives each its own tile (agent ``tile<pid>``, stats under
+        ``tile<pid>.``) instead of one shared PID-tagged tile."""
         if not tenants:
             raise ValueError("at least one workload required")
+        if len(tenants) > 1:
+            self.name = "FUSION-2T" if per_tile else "FUSION-MT"
         self.config = config
         self.stats = StatsRegistry()
         self.host_mem = HostMemorySystem(config, self.stats)
@@ -236,42 +240,21 @@ class System:
 
 def preset(name, strategy, base=System):
     """A registry entry: a ``base`` subclass built as ``cls(config,
-    workload, selector=None)`` that runs one tenant under the static
-    ``strategy`` or, when ``strategy`` is None, under the selector
-    ``config.policy`` describes.  A passed-in ``selector`` wins (bandit
-    training hands one learning selector to several runs).  Each entry
-    is its own class, so its ``__init__`` and ``run`` can be wrapped
-    alone."""
+    workload, selector=None)`` that runs one tenant under
+    ``cls.tenant_selector(config, workload)``: the static ``strategy``
+    or, when ``strategy`` is None, the selector ``config.policy``
+    describes.  A passed-in ``selector`` wins (bandit training hands one
+    learning selector to several runs).  Each entry is its own class, so
+    its ``__init__`` and ``run`` can be wrapped alone."""
+    def tenant_selector(config, workload):
+        from ..policy.selectors import StaticSelector, make_selector
+        return (StaticSelector(strategy) if strategy is not None
+                else make_selector(config.policy, workload))
+
     def __init__(self, config, workload, selector=None):
         if selector is None:
-            from ..policy.selectors import StaticSelector, make_selector
-            selector = (StaticSelector(strategy) if strategy is not None
-                        else make_selector(config.policy, workload))
+            selector = tenant_selector(config, workload)
         base.__init__(self, config, [(workload, selector)])
-    return type(name, (base,), {"name": name, "__init__": __init__})
-
-
-def coresident(config, workloads, strategies=None, per_tile=False):
-    """Several processes on one host, each running a static strategy
-    (``strategies``, default ``fusion`` for all): FUSION-MT time-shares
-    one PID-tagged tile, FUSION-2T (``per_tile``) gives each its own.
-
-    On the shared tile, fusion-family tenants run on their slice of the
-    tile's AXCs; other tenants bind their own machinery under the
-    directory agent ``tenant<pid>``, and the DMA recall paths and
-    named-agent forwards keep the mix coherent.  A tile per tenant is
-    agent ``tile<pid>`` with its stats scoped under ``tile<pid>.``.
-    """
-    from ..policy.selectors import StaticSelector
-    workloads = list(workloads)
-    if strategies is None:
-        strategies = ["fusion"] * len(workloads)
-    elif len(strategies) != len(workloads):
-        raise ValueError("{} strategies for {} workloads".format(
-            len(strategies), len(workloads)))
-    system = System(config, [(workload, StaticSelector(key))
-                             for workload, key in zip(workloads,
-                                                      strategies)],
-                    per_tile=per_tile)
-    system.name = "FUSION-2T" if per_tile else "FUSION-MT"
-    return system
+    return type(name, (base,), {
+        "name": name, "__init__": __init__,
+        "tenant_selector": staticmethod(tenant_selector)})

@@ -26,6 +26,9 @@ LABELS = {"fft": "FFT", "disparity": "DISP.", "tracking": "TRACK.",
           "adpcm": "ADPCM", "susan": "SUSAN", "filter": "FILT.",
           "histogram": "HIST."}
 
+#: The sizes every benchmark builds at.
+SIZES = ("full", "small", "tiny")
+
 _SIZES = {
     "fft": {
         "full": {"n": 1024, "iterations": 4},

@@ -12,13 +12,23 @@ def test_parser_run_defaults():
 
 
 def test_parser_rejects_unknown_system():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "GPU", "adpcm"])
+    """So does a co-resident spelling with a bad tenant, a system count
+    that fits neither one nor the tenants, or FUSION-PIPE beside another
+    tenant: every one is a usage error."""
+    for system, benchmark in (("GPU", "adpcm"),
+                              ("FUSION+GPU", "adpcm+filter"),
+                              ("FUSION+SCRATCH", "adpcm"),
+                              ("FUSION-PIPE", "adpcm|filter")):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", system, benchmark])
+        assert exit_info.value.code == 2
 
 
 def test_parser_rejects_unknown_benchmark():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "FUSION", "quicksort"])
+    for benchmark in ("quicksort", "adpcm+quicksort", "adpcm|"):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "FUSION", benchmark])
+        assert exit_info.value.code == 2
 
 
 def test_run_command_prints_summary(capsys):
@@ -66,9 +76,11 @@ def test_trace_command(tmp_path, capsys):
 
 
 def test_multitenant_command(capsys):
-    assert main(["multitenant", "adpcm", "filter", "--size",
+    """Processes time-sharing one tile are a ``run`` spelling."""
+    assert main(["run", "FUSION", "adpcm+filter", "--size",
                  "tiny"]) == 0
     out = capsys.readouterr().out
+    assert "system     : FUSION-MT" in out
     assert "adpcm+filter" in out
     assert "PID conflicts" in out
 
@@ -104,10 +116,13 @@ def test_run_with_config_file(tmp_path, capsys):
 
 
 def test_multitenant_per_tile(capsys):
-    assert main(["multitenant", "adpcm", "filter", "--per-tile",
-                 "--size", "tiny"]) == 0
+    """Benchmarks joined by ``|`` get a tile each: no shared L1X, so no
+    PID-conflict line."""
+    assert main(["run", "FUSION", "adpcm|filter", "--size", "tiny"]) == 0
     out = capsys.readouterr().out
-    assert "tiles            : 2" in out
+    assert "system     : FUSION-2T" in out
+    assert "adpcm|filter" in out
+    assert "PID conflicts" not in out
 
 
 def test_command_required():
@@ -142,6 +157,29 @@ def test_cache_stats_command(fresh_engine, capsys):
     assert "replay entries : " in out
     assert "last session" in out
     assert "hit ratio" in out
+
+
+def test_cache_stats_reads_each_trace_pickle_once(fresh_engine, capsys,
+                                                 monkeypatch):
+    """``cache stats`` tallies phase and vector plans in one walk, so a
+    fresh process unpickles every prepared trace exactly once."""
+    from repro.sim import engine as engine_mod
+    for benchmark in ("adpcm", "filter"):
+        assert main(["run", "FUSION", benchmark, "--size", "tiny"]) == 0
+    engine_mod.reset_engine()   # a fresh process: nothing in memory
+    reads = []
+    real = engine_mod.DiskCache._read_pickle
+
+    def counted(self, path):
+        reads.append(path)
+        return real(self, path)
+
+    monkeypatch.setattr(engine_mod.DiskCache, "_read_pickle", counted)
+    capsys.readouterr()
+    assert main(["cache", "stats"]) == 0
+    assert "trace entries  : 2" in capsys.readouterr().out
+    traces = [path for path in reads if "traces" in path.parts]
+    assert len(traces) == len(set(traces)) == 2
 
 
 def test_cache_clear_command(fresh_engine, capsys):

@@ -487,10 +487,11 @@ def test_clear_reaps_stale_schema_dirs(engine):
 
 def test_vector_stats_counts_soa_plans(engine):
     from repro.workloads.vector import HAVE_NUMPY
-    assert engine.cache.vector_stats() == (0, 0)
+    assert engine.cache.plan_stats() == ((0, 0), (0, 0))
     engine.jobs = 1  # serial, so prepared traces land on engine.cache
     engine.run_batch(_batch("FUSION"))
-    plan_entries, windows = engine.cache.vector_stats()
+    stats = engine.cache.plan_stats()
+    plan_entries, windows = stats[1]
     if HAVE_NUMPY:
         assert plan_entries > 0
     else:
@@ -499,4 +500,4 @@ def test_vector_stats_counts_soa_plans(engine):
     # A fresh cache over the same root sees the plans ride the
     # prepared-trace pickles from disk.
     fresh = DiskCache(engine.cache.root)
-    assert fresh.vector_stats() == (plan_entries, windows)
+    assert fresh.plan_stats() == stats

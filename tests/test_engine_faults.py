@@ -198,6 +198,35 @@ def test_unknown_system_aborts_before_executing_anything(engine):
     assert engine.telemetry.computed == 0
 
 
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("bad, message", [
+    pytest.param(RunRequest("FUSION", "fftt", "tiny"),
+                 "unknown benchmark 'fftt'", id="benchmark"),
+    pytest.param(RunRequest("FUSION", "adpcm", "huge"),
+                 "unknown size 'huge'", id="size"),
+    pytest.param(RunRequest("FUSION+GPU", "adpcm+filter", "tiny"),
+                 "unknown system 'GPU'", id="tenant-system"),
+    pytest.param(RunRequest("FUSION", "adpcm|fftt", "tiny"),
+                 "unknown benchmark 'fftt'", id="tenant-benchmark"),
+])
+def test_bad_names_fail_before_any_pool_starts(tmp_path, monkeypatch,
+                                               bad, message, jobs, strict):
+    """Every name is checked up front: a bad benchmark or size must not
+    reach a pool worker (where it used to crash it into respawns and a
+    serial fallback) or become a FailedResult hole."""
+    log = tmp_path / "engine.jsonl"
+    monkeypatch.setenv("REPRO_ENGINE_LOG", str(log))
+    engine = ExecutionEngine(jobs=jobs, cache=DiskCache(tmp_path / "c"))
+    with pytest.raises(ConfigError, match=message):
+        engine.run_batch([RunRequest("FUSION", "adpcm", "tiny"), bad,
+                          RunRequest("SHARED", "filter", "tiny")],
+                         strict=strict)
+    assert engine.telemetry.computed == 0
+    assert engine.journal.counts() == {}
+    assert not log.exists()
+
+
 # -- cache corruption ------------------------------------------------------
 
 def test_corrupt_cache_entries_recompute_and_count(

@@ -4,7 +4,9 @@
 configuration; this file pins what it does not reach: POLICY runs under
 the learning and schedule selectors, and co-resident runs — tenants
 time-sharing one PID-tagged tile (FUSION-MT, with per-tenant strategy
-mixes) or getting a tile each (FUSION-2T).  Every entry pins both cycle
+mixes) or getting a tile each (FUSION-2T).  Every entry is a
+:class:`RunRequest` run by ``ExecutionEngine.run_batch``, so the goldens
+pin the engine's request path too.  Every entry pins both cycle
 counts, the ``repr`` of the total and of every energy component, and the
 L1X miss and PID-conflict counts (summed over per-tile stat scopes).
 
@@ -19,52 +21,54 @@ import pathlib
 import pytest
 
 from repro.common.config import small_config
-from repro.systems import SYSTEMS, coresident
-from repro.workloads.registry import build_workload
+from repro.sim.engine import DiskCache, ExecutionEngine, RunRequest
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_tiny_systems.json"
 
-#: case id -> (benchmarks, POLICY config overrides | None, strategies,
-#: per_tile).  A POLICY case runs one workload; the others co-reside.
+
+def request(system, benchmark, **policy):
+    config = small_config()
+    if policy:
+        config = config.with_policy(**policy)
+    return RunRequest(system, benchmark, "tiny", config)
+
+
+#: case id -> the request that produces it.  A POLICY case runs one
+#: workload; the others co-reside, a POLICY tenant carrying the lease.
 CASES = {
-    "POLICY:bandit:adpcm": (("adpcm",), {"selector": "bandit"}, None,
-                            False),
-    "POLICY:bandit:fft": (("fft",), {"selector": "bandit"}, None, False),
-    "POLICY:ucb:filter": (("filter",), {"selector": "ucb"}, None, False),
-    "POLICY:schedule:fft": (
-        ("fft",), {"selector": "schedule",
-                   "schedule": ("scratch", "fusion", "shared",
-                                "fusion-dx", "fusion:lease=100")},
-        None, False),
-    "POLICY:schedule:susan": (
-        ("susan",), {"selector": "schedule",
-                     "schedule": ("fusion-dx", "shared", "scratch")},
-        None, False),
-    "FUSION-MT:adpcm+filter": (("adpcm", "filter"), None, None, False),
-    "FUSION-MT:adpcm+filter:fusion,fusion": (
-        ("adpcm", "filter"), None, ("fusion", "fusion"), False),
-    "FUSION-MT:adpcm+filter:fusion,fusion:lease=100": (
-        ("adpcm", "filter"), None, ("fusion", "fusion:lease=100"), False),
-    "FUSION-MT:adpcm+filter:fusion,fusion:lease=200": (
-        ("adpcm", "filter"), None, ("fusion", "fusion:lease=200"), False),
-    "FUSION-MT:adpcm+filter:fusion,scratch": (
-        ("adpcm", "filter"), None, ("fusion", "scratch"), False),
-    "FUSION-MT:adpcm+filter:fusion-dx,shared": (
-        ("adpcm", "filter"), None, ("fusion-dx", "shared"), False),
-    "FUSION-MT:fft+adpcm:fusion-dx,shared": (
-        ("fft", "adpcm"), None, ("fusion-dx", "shared"), False),
-    "FUSION-2T:adpcm|filter": (("adpcm", "filter"), None, None, True),
+    "POLICY:bandit:adpcm": request("POLICY", "adpcm", selector="bandit"),
+    "POLICY:bandit:fft": request("POLICY", "fft", selector="bandit"),
+    "POLICY:ucb:filter": request("POLICY", "filter", selector="ucb"),
+    "POLICY:schedule:fft": request(
+        "POLICY", "fft", selector="schedule",
+        schedule=("scratch", "fusion", "shared", "fusion-dx",
+                  "fusion:lease=100")),
+    "POLICY:schedule:susan": request(
+        "POLICY", "susan", selector="schedule",
+        schedule=("fusion-dx", "shared", "scratch")),
+    "FUSION-MT:adpcm+filter": request("FUSION", "adpcm+filter"),
+    "FUSION-MT:adpcm+filter:fusion,fusion": request("FUSION+FUSION",
+                                                    "adpcm+filter"),
+    "FUSION-MT:adpcm+filter:fusion,fusion:lease=100": request(
+        "FUSION+POLICY", "adpcm+filter", static_strategy="fusion:lease=100"),
+    "FUSION-MT:adpcm+filter:fusion,fusion:lease=200": request(
+        "FUSION+POLICY", "adpcm+filter", static_strategy="fusion:lease=200"),
+    "FUSION-MT:adpcm+filter:fusion,scratch": request("FUSION+SCRATCH",
+                                                     "adpcm+filter"),
+    "FUSION-MT:adpcm+filter:fusion-dx,shared": request("FUSION-Dx+SHARED",
+                                                       "adpcm+filter"),
+    "FUSION-MT:fft+adpcm:fusion-dx,shared": request("FUSION-Dx+SHARED",
+                                                    "fft+adpcm"),
+    "FUSION-2T:adpcm|filter": request("FUSION", "adpcm|filter"),
 }
 
 
-def run_case(case):
-    benchmarks, policy, strategies, per_tile = CASES[case]
-    workloads = [build_workload(name, "tiny") for name in benchmarks]
-    if policy is not None:
-        config = small_config().with_policy(**policy)
-        return SYSTEMS["POLICY"](config, workloads[0]).run()
-    return coresident(small_config(), workloads, strategies=strategies,
-                      per_tile=per_tile).run()
+@pytest.fixture(scope="module")
+def results(tmp_path_factory):
+    """Every case through one engine batch, as the CLI would run it."""
+    engine = ExecutionEngine(jobs=1, cache=DiskCache(
+        tmp_path_factory.mktemp("golden-systems")))
+    return dict(zip(CASES, engine.run_batch(list(CASES.values()))))
 
 
 def _folded(result, name):
@@ -74,8 +78,7 @@ def _folded(result, name):
                if key == name or key.endswith(suffix))
 
 
-def current(case):
-    result = run_case(case)
+def current(result):
     return {
         "system": result.system,
         "benchmark": result.benchmark,
@@ -95,7 +98,9 @@ def load_golden():
 
 
 def regenerate():
-    golden = {case: current(case) for case in CASES}
+    engine = ExecutionEngine(jobs=1)
+    golden = {case: current(result) for case, result in
+              zip(CASES, engine.run_batch(list(CASES.values())))}
     with open(GOLDEN_PATH, "w") as fileobj:
         json.dump(golden, fileobj, indent=1, sort_keys=True)
         fileobj.write("\n")
@@ -106,7 +111,7 @@ def test_golden_file_is_complete():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_results_match_golden(case):
-    assert current(case) == load_golden()[case], (
+def test_results_match_golden(case, results):
+    assert current(results[case]) == load_golden()[case], (
         "model output drifted from the golden values; if intentional, "
         "regenerate tests/golden_tiny_systems.json (see module docstring)")

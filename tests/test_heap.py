@@ -29,7 +29,7 @@ from repro import cli
 from repro.common.config import small_config
 from repro.sim import engine as engine_mod
 from repro.sim.engine import DiskCache, ExecutionEngine, RunRequest
-from repro.systems import SYSTEMS, coresident
+from repro.systems import SYSTEMS, build_system
 from repro.workloads.registry import build_workload
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
@@ -71,10 +71,10 @@ def test_every_system_run_is_cycle_free(name, kernel):
 
 @pytest.mark.parametrize("per_tile", [False, True])
 def test_coresident_runs_are_cycle_free(per_tile):
-    workloads = [build_workload(name, "tiny")
-                 for name in ("adpcm", "filter")]
-    assert cyclic_garbage(lambda: coresident(
-        small_config(), workloads, per_tile=per_tile)) == 0
+    request = RunRequest("FUSION", ("|" if per_tile else "+").join(
+        ("adpcm", "filter")), "tiny", small_config())
+    assert cyclic_garbage(lambda: build_system(
+        request, lambda name: build_workload(name, "tiny"))) == 0
 
 
 # -- the collector pause ---------------------------------------------------

@@ -195,18 +195,21 @@ def test_adaptive_policy_with_zero_default_lease_stays_zero():
 @pytest.mark.parametrize("per_tile", (False, True))
 def test_one_tenant_coresident_run_honours_lease_override(override,
                                                           per_tile):
-    """A one-tenant co-resident run is FUSION: same cycles and energy,
-    whether or not ``lease_override`` replaces the functions' leases."""
+    """A one-tenant run of the co-resident machinery is FUSION: same
+    cycles and energy, whether or not ``lease_override`` replaces the
+    functions' leases."""
     import dataclasses
     from repro.common.config import small_config
-    from repro.systems import SYSTEMS, coresident
+    from repro.policy.selectors import StaticSelector
+    from repro.systems import SYSTEMS, System
     from repro.workloads.registry import build_workload
     config = small_config()
     config = dataclasses.replace(config, tile=dataclasses.replace(
         config.tile, lease_override=override))
     workload = build_workload("histogram", "tiny")
     fusion = SYSTEMS["FUSION"](config, workload).run()
-    alone = coresident(config, [workload], per_tile=per_tile).run()
+    alone = System(config, [(workload, StaticSelector("fusion"))],
+                   per_tile=per_tile).run()
     assert alone.accel_cycles == fusion.accel_cycles
     assert alone.energy.total_pj == fusion.energy.total_pj
 

@@ -1,18 +1,23 @@
-"""Multi-tile FUSION (repro.systems.coresident with per_tile=True)."""
+"""Multi-tile FUSION: benchmarks joined by ``|`` get a tile each."""
 
 import pytest
 
 from repro.common.config import small_config
-from repro.systems import coresident
+from repro.sim.engine import RunRequest
+from repro.systems import System, build_system
 from repro.workloads.registry import build_workload
 
+def fusion_system(benchmark):
+    request = RunRequest("FUSION", benchmark, "tiny", small_config())
+    return build_system(request, lambda name: build_workload(name, "tiny"))
 
-def pair(size="tiny"):
-    return [build_workload("adpcm", size), build_workload("filter", size)]
+
+def per_tile():
+    return fusion_system("adpcm|filter")
 
 
-def per_tile(workloads):
-    return coresident(small_config(), workloads, per_tile=True)
+def shared_tile():
+    return fusion_system("adpcm+filter")
 
 
 def tiles_of(system):
@@ -21,7 +26,7 @@ def tiles_of(system):
 
 
 def test_each_workload_gets_its_own_tile():
-    system = per_tile(pair())
+    system = per_tile()
     tiles = tiles_of(system)
     assert len(tiles) == 2
     assert tiles[0].name == "tile0"
@@ -33,18 +38,18 @@ def test_each_workload_gets_its_own_tile():
 
 def test_requires_a_workload():
     with pytest.raises(ValueError):
-        per_tile([])
+        System(small_config(), [], per_tile=True)
 
 
 def test_tile_stats_are_namespaced():
-    result = per_tile(pair()).run()
+    result = per_tile().run()
     assert result.stat("tile0.l1x.accesses") > 0
     assert result.stat("tile1.l1x.accesses") > 0
     assert "l1x.accesses" not in result.stats  # no un-namespaced leak
 
 
 def test_energy_accounting_folds_namespaces():
-    result = per_tile(pair()).run()
+    result = per_tile().run()
     folded = result.energy["l1x"]
     raw = (result.stat("tile0.l1x.energy_pj")
            + result.stat("tile1.l1x.energy_pj"))
@@ -53,9 +58,8 @@ def test_energy_accounting_folds_namespaces():
 
 
 def test_dedicated_tiles_eliminate_pid_conflicts():
-    workloads = pair()
-    shared = coresident(small_config(), workloads).run()
-    dedicated = per_tile(workloads).run()
+    shared = shared_tile().run()
+    dedicated = per_tile().run()
     assert shared.stat("l1x.pid_conflicts") > 0
     total_conflicts = sum(
         dedicated.stat("tile{}.l1x.pid_conflicts".format(i), 0)
@@ -64,20 +68,19 @@ def test_dedicated_tiles_eliminate_pid_conflicts():
 
 
 def test_dedicated_tiles_beat_time_sharing():
-    workloads = pair()
-    shared = coresident(small_config(), workloads).run()
-    dedicated = per_tile(workloads).run()
+    shared = shared_tile().run()
+    dedicated = per_tile().run()
     assert dedicated.accel_cycles <= shared.accel_cycles
 
 
 def test_both_tiles_register_as_mesi_agents():
-    system = per_tile(pair())
+    system = per_tile()
     assert set(system.host_mem.tile_agents) == {"tile0", "tile1"}
     assert system.host_mem.tile_agents["tile0"] is tiles_of(system)[0].l1x
 
 
 def test_host_consume_pulls_from_the_right_tile():
-    result = per_tile(pair()).run()
+    result = per_tile().run()
     # Each process's outputs were forwarded out of its own tile.
     assert result.stat("tile0.l1x.fwd_evictions") > 0
     assert result.stat("tile1.l1x.fwd_evictions") > 0

@@ -26,8 +26,8 @@ from repro.coherence.acc import AccL0XController
 from repro.common.config import small_config
 from repro.common.types import AccessType, ComputeOp, FunctionTrace, \
     MemOp, WorkloadTrace
-from repro.sim.engine import collector_paused
-from repro.systems import SYSTEMS, coresident
+from repro.sim.engine import RunRequest, collector_paused
+from repro.systems import SYSTEMS, build_system
 
 # -- the rung flags -----------------------------------------------------------
 
@@ -204,12 +204,24 @@ MAKERS.update({"POLICY static:" + key: _maker("POLICY", CONFIG.with_policy(
     for key in ("scratch", "shared", "fusion", "fusion-dx")})
 MAKERS["POLICY bandit"] = _maker("POLICY",
                                  CONFIG.with_policy(selector="bandit"))
-for _name, _per_tile in (("FUSION-MT", False), ("FUSION-2T", True)):
-    MAKERS[_name] = lambda workload, partner, per_tile=_per_tile: \
-        coresident(CONFIG, [workload, partner], per_tile=per_tile)
 
-#: The co-resident topologies, and every system that runs one workload.
-CORESIDENT = ("FUSION-MT", "FUSION-2T")
+
+def _coresident(system, benchmark, config=CONFIG):
+    """A co-resident request, built as the engine builds it, whose two
+    benchmarks ``adpcm`` and ``filter`` stand for the drawn workload and
+    its partner."""
+    request = RunRequest(system, benchmark, "tiny", config)
+    return lambda workload, partner: build_system(
+        request, {"adpcm": workload, "filter": partner}.__getitem__)
+
+
+MAKERS["FUSION-MT"] = _coresident("FUSION", "adpcm+filter")
+MAKERS["FUSION-2T"] = _coresident("FUSION", "adpcm|filter")
+MAKERS["FUSION+POLICY bandit"] = _coresident(
+    "FUSION+POLICY", "adpcm+filter", CONFIG.with_policy(selector="bandit"))
+
+#: The co-resident runs, and every system that runs one workload.
+CORESIDENT = ("FUSION-MT", "FUSION-2T", "FUSION+POLICY bandit")
 SOLO_MAKERS = {name: make for name, make in MAKERS.items()
                if name not in CORESIDENT}
 

@@ -24,6 +24,9 @@ def _policy_grid():
             requests.append(RunRequest(
                 "POLICY", benchmark, "tiny",
                 config.with_policy(**policy)))
+    # A learning tenant beside a static one on one shared tile.
+    requests.append(RunRequest("FUSION+POLICY", "adpcm+filter", "tiny",
+                               config.with_policy(selector="bandit")))
     return requests
 
 

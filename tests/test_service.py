@@ -112,28 +112,38 @@ def fetch_by_key(payload):
     return out
 
 
+#: Two processes, a FUSION tenant and a SCRATCH tenant, time-sharing
+#: one tile: one more point the service runs like any other.
+CORESIDENT_SPEC = {"systems": ["FUSION+SCRATCH"],
+                   "benchmarks": ["adpcm+filter"], "size": "tiny"}
+
+
 @pytest.mark.slow
 def test_service_end_to_end_matches_direct_engine(tmp_path):
-    golden = direct_results(SPEC, tmp_path / "direct-cache")
+    specs = ((SPEC, 8), (CORESIDENT_SPEC, 1))
     daemon = Daemon(tmp_path, batch=2)
     try:
         with daemon.client() as client:
             assert client.ping()["ok"]
-            job_id = client.submit(SPEC, client="pytest")
-            counts = client.wait(job_id, timeout=300)
-            assert counts["done"] == counts["total"] == 8
-            payload = client.fetch(job_id)
+            payloads = []
+            for spec, total in specs:
+                job_id = client.submit(spec, client="pytest")
+                counts = client.wait(job_id, timeout=300)
+                assert counts["done"] == counts["total"] == total
+                payloads.append(client.fetch(job_id))
     finally:
         daemon.stop()
-    rows = fetch_by_key(payload)
-    assert set(rows) == set(golden)
-    for key, result in golden.items():
-        status, body = rows[key]
-        assert status == "done"
-        assert body == exported(result)
-    # spec metrics came back for every row
-    for row in payload["rows"]:
-        assert set(row["metrics"]) == {"accel_cycles", "energy_uj"}
+    for (spec, _total), payload in zip(specs, payloads):
+        golden = direct_results(spec, tmp_path / "direct-cache")
+        rows = fetch_by_key(payload)
+        assert set(rows) == set(golden)
+        for key, result in golden.items():
+            status, body = rows[key]
+            assert status == "done"
+            assert body == exported(result)
+        # spec metrics came back for every row
+        for row in payload["rows"]:
+            assert set(row["metrics"]) == {"accel_cycles", "energy_uj"}
 
 
 @pytest.mark.slow

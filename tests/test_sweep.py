@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.sim.sweep import (
     METRICS,
     config_axis,
+    grid_points,
     l0x_axis,
     l1x_axis,
     lease_axis,
@@ -35,6 +37,19 @@ def test_axisless_sweep_runs_once_per_cell():
         systems=("SCRATCH", "FUSION"), benchmarks=("adpcm", "filter"),
         axes=[], size="tiny")
     assert len(table.rows) == 4
+
+
+def test_coresident_points_sweep_like_any_other():
+    """A co-resident spelling is one more grid point; a bad one fails
+    while the grid is built, before anything runs."""
+    table, results = sweep(
+        systems=("FUSION", "FUSION+SCRATCH"), benchmarks=("adpcm+filter",),
+        axes=[lease_axis(100, 500)], size="tiny")
+    assert len(table.rows) == 4
+    assert results[("FUSION+SCRATCH", "adpcm+filter", "100")].system \
+        == "FUSION-MT"
+    with pytest.raises(ConfigError, match="2 systems for 1 benchmark"):
+        grid_points(("FUSION+SCRATCH",), ("adpcm",), [], "tiny")
 
 
 def test_metrics_are_extracted():
