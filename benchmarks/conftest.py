@@ -7,7 +7,9 @@ summary (so ``pytest benchmarks/ --benchmark-only | tee ...`` captures
 them) and written to ``benchmarks/results/``.
 
 Set ``REPRO_BENCH_SIZE=small`` (or ``tiny``) for a quick pass; the
-default regenerates the full-size evaluation.
+default regenerates the full-size evaluation.  Only ``full`` writes the
+tracked ``benchmarks/results/``: any other size writes its tables under
+the git-ignored ``.bench_build/results/<size>/``.
 
 The whole simulation grid is warmed once per session through the
 execution engine (``repro.sim.engine``) — deduplicated, fanned out over
@@ -25,7 +27,9 @@ import pytest
 #: Workload size used by every bench.
 SIZE = os.environ.get("REPRO_BENCH_SIZE", "full")
 
-_RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+_HERE = pathlib.Path(__file__).parent
+_RESULTS_DIR = (_HERE / "results" if SIZE == "full"
+                else _HERE.parent / ".bench_build" / "results" / SIZE)
 _TABLES = []
 _WARM_STATS = {}
 
@@ -57,7 +61,7 @@ def report():
 
     def _report(table):
         _TABLES.append(table)
-        _RESULTS_DIR.mkdir(exist_ok=True)
+        _RESULTS_DIR.mkdir(parents=True, exist_ok=True)
         filename = table.exp_id.lower().replace(" ", "") + ".txt"
         (_RESULTS_DIR / filename).write_text(table.render() + "\n")
         return table

@@ -284,11 +284,10 @@ def _cmd_cache(args):
     cache = engine.cache
     if args.action == "clear":
         removed = cache.clear()
-        print("removed {} cached file(s) (results + prepared traces) "
-              "from {}".format(removed, cache.root))
+        print("removed {} cached file(s) from {}".format(
+            removed, cache.root))
         return 0
     entries, total_bytes = cache.disk_stats()
-    trace_entries, trace_bytes = cache.trace_stats()
     temp_count, temp_bytes = cache.temp_stats()
     print("cache dir      : {}".format(cache.root))
     print("enabled        : {}".format("yes" if cache.enabled else
@@ -296,13 +295,6 @@ def _cmd_cache(args):
     print("schema version : {}".format(engine_mod.CACHE_SCHEMA_VERSION))
     print("entries        : {} ({:.1f} kB)".format(
         entries, total_bytes / 1024.0))
-    print("trace entries  : {} ({:.1f} kB prepared workloads)".format(
-        trace_entries, trace_bytes / 1024.0))
-    phase, vector = cache.plan_stats()
-    print("phase entries  : {} compiled plan(s), {} phase window(s)".format(
-        *phase))
-    print("vector entries : {} SoA plan(s), {} vector window(s)".format(
-        *vector))
     stale_entries, stale_bytes = cache.stale_schema_stats()
     if stale_entries:
         print("stale schema   : {} old-schema entrie(s) ({:.1f} kB; "

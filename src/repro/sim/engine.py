@@ -17,6 +17,10 @@ throughput:
   (system, benchmark, size, config fields, code version), so *any*
   source change to the ``repro`` package invalidates the whole cache —
   stale models can never leak into fresh results.
+* Prepared workloads (built, lowered, MLP attached) live in memory
+  only, one per ``(benchmark, size)`` per process.  A pool batch
+  prepares each of its workloads once in the parent before the pool
+  forks, so workers inherit them instead of building their own.
 * Light telemetry (per-run wall time, batch queue depth, cache hit
   ratio) is attached to each returned result's ``meta`` dict and
   aggregated on ``engine.telemetry`` so benchmark JSONs can track the
@@ -75,20 +79,19 @@ from ..common.config import config_fingerprint, small_config
 from ..common.errors import ConfigError, ExecutionError, RunTimeout
 from ..systems import build_system, resolve
 from ..workloads.characterize import function_mlp
-from ..workloads.lowering import LOWERING_VERSION, lower_workload
+from ..workloads.lowering import lower_workload
 from ..workloads.registry import build_workload
 from . import faults
 from .results import FailedResult
 
 #: Bump when the cache entry layout (not the simulated models — those
 #: are covered by :func:`code_fingerprint`) changes incompatibly.
-#: Version 2: prepared-trace pickles carry structure-of-arrays vector
-#: plans (ndarray payloads a v1 reader would not expect).  Entries
-#: live under ``<root>/v<schema>/``, so old-schema entries are never
-#: *read* after a bump — they sit in their own directory, counted by
-#: :meth:`DiskCache.stale_schema_stats` and reaped by
-#: :meth:`DiskCache.clear`.
-CACHE_SCHEMA_VERSION = 2
+#: Version 3: results only; version 2 also held prepared-trace pickles
+#: under ``traces/``.  Entries live under ``<root>/v<schema>/``, so
+#: old-schema entries are never *read* after a bump — they sit in their
+#: own directory, counted by :meth:`DiskCache.stale_schema_stats` and
+#: reaped by :meth:`DiskCache.clear`.
+CACHE_SCHEMA_VERSION = 3
 
 _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("", "0", "false", "no", "off")
@@ -282,6 +285,19 @@ class RunRequest:
         return self
 
 
+def _canonical_system(system):
+    """``system`` as the cache keys it: a ``+``-list of one repeated
+    name collapses to that name, since ``FUSION+FUSION`` and ``FUSION``
+    on the same tenants name the same run.  Not :func:`resolve`: keys
+    are also taken for points the registry does not know, such as
+    perfbench's FFT ``n512x16`` results, which it rejects."""
+    if isinstance(system, str):
+        names = set(system.split("+"))
+        if len(names) == 1:
+            return names.pop()
+    return system
+
+
 def cache_key(request, epoch=0):
     """Content-hash key for one (normalized) request.
 
@@ -300,29 +316,10 @@ def cache_key(request, epoch=0):
         "schema={}".format(CACHE_SCHEMA_VERSION),
         "code={}".format(code_fingerprint()),
         "epoch={}".format(epoch),
-        "system={}".format(request.system),
+        "system={}".format(_canonical_system(request.system)),
         "benchmark={}".format(request.benchmark),
         "size={}".format(request.size),
         "config={}".format(config_hash),
-    ))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def trace_cache_key(benchmark, size, epoch=0):
-    """Content-hash key for one prepared (lowered) workload.
-
-    Keyed by the code fingerprint (kernel generators and the lowering
-    pass both live in the package) plus :data:`LOWERING_VERSION`, so a
-    lowering format change invalidates prepared traces even before the
-    schema version moves.
-    """
-    payload = "\n".join((
-        "schema={}".format(CACHE_SCHEMA_VERSION),
-        "code={}".format(code_fingerprint()),
-        "lowering={}".format(LOWERING_VERSION),
-        "epoch={}".format(epoch),
-        "benchmark={}".format(benchmark),
-        "size={}".format(size),
     ))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -333,12 +330,14 @@ def prepared_workload(benchmark, size, cache=None, epoch=0):
     "Prepared" means the one-time per-trace work is already done: every
     invocation trace is lowered for the default AXC issue width and the
     DDG-derived per-function MLP table is memoised on the workload.
-    Prepared workloads are pickled into the engine's disk cache so pool
-    workers (and later processes) never re-execute the kernel generators
-    or the dependence-graph analysis.
+    Prepared workloads live in memory only, in ``cache``'s index under
+    ``(benchmark, size, epoch)``.  The registry's build memo and the
+    lowering and MLP memos on the workload make a repeat preparation
+    cheap, which is how forked pool workers reuse what the parent
+    prepared (:meth:`ExecutionEngine._prepare_for_workers`).
     """
     cache = cache if cache is not None else get_engine().cache
-    key = trace_cache_key(benchmark, size, epoch)
+    key = (benchmark, size, epoch)
     workload = cache.load_trace(key)
     if workload is None:
         workload = build_workload(benchmark, size)
@@ -352,10 +351,9 @@ def _execute(request, cache=None, epoch=None):
     """Run one simulation point from scratch (no result caching).
 
     Top-level so it pickles for pool workers; also the serial path.
-    ``cache``/``epoch`` name the prepared-trace store to use; they
+    ``cache``/``epoch`` name the prepared-workload memo to use; they
     default to the process-wide engine's (which forked pool workers
-    inherit), while in-process engines pass their own so a test engine
-    with a private cache root never writes outside it.
+    inherit), while in-process engines pass their own.
     """
     if cache is None:
         engine = get_engine()
@@ -364,35 +362,18 @@ def _execute(request, cache=None, epoch=None):
         benchmark, request.size, cache, epoch or 0)).run()
 
 
-#: Per-worker-process DiskCache instances keyed by (root, enabled), so
-#: every request a pool worker serves shares one in-memory trace index.
-_WORKER_CACHES = {}
-
-
-def _worker_cache(root, enabled):
-    cache = _WORKER_CACHES.get((root, enabled))
-    if cache is None:
-        cache = DiskCache(root)
-        cache.enabled_override = enabled
-        _WORKER_CACHES[(root, enabled)] = cache
-    return cache
-
-
-def _execute_timed(request, cache_root=None, cache_enabled=True,
-                   epoch=0):
-    """Pool-worker entry point: run one request against the submitting
-    engine's prepared-trace store (workers must not fall back to the
-    process-wide engine's cache, which can have a different root).
+def _execute_timed(request):
+    """Pool-worker entry point: run one request on the process-wide
+    engine's prepared workloads (inherited from the parent by fork).
+    A worker writes nothing to disk; the parent stores its results.
 
     Crash/hang fault injection (``REPRO_FAULT_SPEC``) hooks in here and
     *only* here — the in-process serial path stays fault-free, so
     serial fallback is a guaranteed-success last resort.
     """
     faults.on_worker_execute(request)
-    cache = (_worker_cache(cache_root, cache_enabled)
-             if cache_root is not None else None)
     start = time.perf_counter()
-    result = _execute(request, cache, epoch)
+    result = _execute(request)
     return result, time.perf_counter() - start
 
 
@@ -411,7 +392,8 @@ class DiskCache:
     through a temp file in the destination directory and
     ``os.replace``, so concurrent processes never observe a torn entry.
     A per-instance in-memory index short-circuits repeat loads and
-    preserves object identity within a process.
+    preserves object identity within a process; it also holds the
+    prepared workloads (:meth:`load_trace`), which never reach disk.
     """
 
     def __init__(self, root=None):
@@ -423,10 +405,6 @@ class DiskCache:
         self.disk_hits = 0
         self.misses = 0
         self.stores = 0
-        self.trace_memory_hits = 0
-        self.trace_disk_hits = 0
-        self.trace_misses = 0
-        self.trace_stores = 0
         #: Torn/unreadable entries dropped by :meth:`_read_pickle`.
         self.corrupt_drops = 0
         #: Optional journal hook ``(event, **detail)`` set by the engine.
@@ -454,14 +432,8 @@ class DiskCache:
     def _entry_dir(self):
         return self.root / "v{}".format(CACHE_SCHEMA_VERSION)
 
-    def _trace_dir(self):
-        return self._entry_dir() / "traces"
-
     def _path(self, key):
         return self._entry_dir() / key[:2] / (key + ".pkl")
-
-    def _trace_path(self, key):
-        return self._trace_dir() / key[:2] / (key + ".pkl")
 
     def _read_pickle(self, path):
         """Load one pickle, dropping torn/unreadable entries.
@@ -554,36 +526,12 @@ class DiskCache:
         self.stores += 1
 
     def load_trace(self, key):
-        """Return the cached prepared workload for ``key`` or ``None``.
-
-        Always consults the in-memory index (preserving object identity
-        within a process, like the workload registry's own memo); the
-        disk tier is skipped when caching is disabled.
-        """
-        if key is None:
-            return None
-        index_key = (str(self.root), "trace", key)
-        if index_key in self._index:
-            self.trace_memory_hits += 1
-            return self._index[index_key]
-        if not self.enabled:
-            return None
-        workload = self._read_pickle(self._trace_path(key))
-        if workload is None:
-            self.trace_misses += 1
-            return None
-        self._index[index_key] = workload
-        self.trace_disk_hits += 1
-        return workload
+        """Return the prepared workload memoised under ``key`` or
+        ``None``.  Memory only, whether or not the cache is enabled."""
+        return self._index.get(("trace", key))
 
     def store_trace(self, key, workload):
-        if key is None:
-            return
-        self._index[(str(self.root), "trace", key)] = workload
-        if not self.enabled:
-            return
-        self._write_pickle(self._trace_path(key), workload)
-        self.trace_stores += 1
+        self._index[("trace", key)] = workload
 
     def clear_index(self):
         """Drop the in-memory index (disk entries survive)."""
@@ -624,9 +572,9 @@ class DiskCache:
         return entries, total
 
     def clear(self):
-        """Delete every on-disk entry (results *and* prepared traces),
-        any orphaned ``.tmp-*`` files and any old-schema version
-        directories; returns the number of entries removed.
+        """Delete every on-disk result, any orphaned ``.tmp-*`` files
+        and any old-schema version directories; returns the number of
+        entries removed.
 
         Holds the advisory lock *exclusive*, so concurrent writers
         (pool workers mid-``store()``) finish their atomic rename
@@ -673,12 +621,10 @@ class DiskCache:
             self.clear_index()
         return removed
 
-    def _tally(self, root_dir, exclude=None):
+    def _tally(self, root_dir):
         entries, total = 0, 0
         if root_dir.is_dir():
             for path in root_dir.rglob("*.pkl"):
-                if exclude is not None and exclude in path.parents:
-                    continue
                 try:
                     total += path.stat().st_size
                     entries += 1
@@ -687,45 +633,8 @@ class DiskCache:
         return entries, total
 
     def disk_stats(self):
-        """Return ``(entries, total_bytes)`` for on-disk *results*."""
-        return self._tally(self._entry_dir(), exclude=self._trace_dir())
-
-    def trace_stats(self):
-        """Return ``(entries, total_bytes)`` for prepared-trace pickles."""
-        return self._tally(self._trace_dir())
-
-    def plan_stats(self):
-        """Return ``((phase_entries, phases), (vector_entries, windows))``:
-        the memoised phase and SoA vector plan variants riding in the
-        prepared workloads (in-memory entries included, each pickle read
-        once), and the distinct compiled windows inside them — the
-        artifacts ``invalidate_lowered`` evicts alongside the lowered
-        streams.  The vector tally is zero on a numpy-less install."""
-        from ..workloads.phases import plan_summary
-        from ..workloads.vector import vector_summary
-
-        workloads = {}
-        for index_key, workload in self._index.items():
-            if index_key[1] == "trace":
-                workloads[index_key[2]] = workload
-        trace_dir = self._trace_dir()
-        if trace_dir.is_dir():
-            for path in sorted(trace_dir.rglob("*.pkl")):
-                if path.stem in workloads:
-                    continue
-                workload = self._read_pickle(path)
-                if workload is not None:
-                    workloads[path.stem] = workload
-        phase_entries = phases = vector_entries = windows = 0
-        for workload in workloads.values():
-            for trace in workload.invocations:
-                entries, count = plan_summary(trace)
-                phase_entries += entries
-                phases += count
-                entries, count = vector_summary(trace)
-                vector_entries += entries
-                windows += count
-        return (phase_entries, phases), (vector_entries, windows)
+        """Return ``(entries, total_bytes)`` for on-disk results."""
+        return self._tally(self._entry_dir())
 
     def temp_stats(self):
         """Return ``(count, total_bytes)`` for orphaned ``.tmp-*`` files.
@@ -1127,9 +1036,8 @@ class ExecutionEngine:
         the leftovers run serially in-process — the fault-free last
         resort.  Timed-out points are failed immediately, never retried.
         """
+        self._prepare_for_workers(points)
         telemetry = self.telemetry
-        cache_root = str(self.cache.root)
-        cache_enabled = self.cache.enabled
         backoff = resolve_backoff()
         attempts = {key: 0 for key, _ in points}
         pending = list(points)
@@ -1141,9 +1049,8 @@ class ExecutionEngine:
             futures = {}
             for key, request in pending:
                 attempts[key] += 1
-                futures[pool.submit(
-                    _execute_timed, request, cache_root, cache_enabled,
-                    self.epoch)] = (key, request)
+                futures[pool.submit(_execute_timed, request)] = (
+                    key, request)
             retry_next, suspects, abandoned = self._collect_round(
                 futures, timeout, attempts, computed)
             self._shutdown_pool(pool, kill=abandoned)
@@ -1184,6 +1091,21 @@ class ExecutionEngine:
             if delay:
                 time.sleep(delay)
             pending = [(key, request) for key, request, _ in retry_next]
+
+    def _prepare_for_workers(self, points):
+        """Prepare each distinct ``(benchmark, size)`` of ``points`` once,
+        here, before any pool forks: workers inherit the registry's build
+        memo and the lowering and MLP memos on each workload, so none of
+        them builds a workload again."""
+        needed = {(benchmark, request.size) for _, request in points
+                  for _, benchmark in resolve(request)[0]}
+        for benchmark, size in sorted(needed):
+            try:
+                prepared_workload(benchmark, size, self.cache, self.epoch)
+            except Exception:
+                # Left to the points themselves: each run raises it
+                # again and fails as itself, strict or not.
+                pass
 
     def _collect_round(self, futures, timeout, attempts, computed):
         """Harvest one pool round's futures.
@@ -1267,15 +1189,12 @@ class ExecutionEngine:
         and worker errors during a probe are returned for the normal
         retry rounds.
         """
-        cache_root = str(self.cache.root)
-        cache_enabled = self.cache.enabled
         retry_next = []
         for key, request in suspects:
             attempts[key] += 1
             pool = ProcessPoolExecutor(max_workers=1,
                                        initializer=gc.disable)
-            future = pool.submit(_execute_timed, request, cache_root,
-                                 cache_enabled, self.epoch)
+            future = pool.submit(_execute_timed, request)
             kill = False
             try:
                 result, wall = future.result(timeout=timeout)

@@ -40,20 +40,13 @@ cost in the core model and are dropped from the stream (SCRATCH
 consumes them during window partitioning, before lowering).
 
 Lowered traces are memoised on the trace object itself (keyed by issue
-width), so they ride along when the execution engine pickles prepared
-workloads into its disk cache and pool workers skip both the kernel
-re-execution *and* the lowering pass.
+width), so every run of a prepared workload in a process — and every
+pool worker forked after the engine prepared it — reuses them.
 """
 
 import math
 
 from ..common.types import ComputeOp, MemOp
-
-#: Bump when the lowered format changes incompatibly; part of the
-#: engine's prepared-workload cache key.  Version 3 adds compiled
-#: steady-state phase plans riding along with the lowered stream;
-#: version 4 adds structure-of-arrays vector plans (the vector rung).
-LOWERING_VERSION = 4
 
 #: Attribute used to memoise lowered forms on a trace object.
 _CACHE_ATTR = "_lowered_by_width"
@@ -191,7 +184,7 @@ def lowered_trace(trace, issue_width):
 
     The compiled stream is cached in the trace object's ``__dict__``
     (traces are read-only to the simulator once built), so repeat
-    invocations — and pickles of the owning workload — reuse it.
+    invocations reuse it.
     """
     cache = trace.__dict__.get(_CACHE_ATTR)
     if cache is None:
@@ -222,11 +215,10 @@ def invalidate_lowered(trace):
 def lower_workload(workload, issue_width=4):
     """Pre-lower every invocation of ``workload`` (default issue width).
 
-    Used by the execution engine before pickling a prepared workload
-    into its disk cache, so pool workers load ready-to-run streams
-    instead of re-executing kernels and re-lowering.  Compiled phase
-    plans (the steady-state fast path's unit of work) are built here
-    too, so they ride along in the same pickle — and, when numpy is
+    Used by the execution engine to prepare a workload once per
+    process (pool workers inherit it by fork), so runs interpret
+    ready-to-run streams.  Compiled phase plans (the steady-state fast
+    path's unit of work) are built here too — and, when numpy is
     available, the structure-of-arrays vector plans above them (the
     vector rung; skipped cleanly on a numpy-less install).  Returns
     the workload for chaining.

@@ -39,9 +39,9 @@ falls back to the per-run coalesced path, and below that the per-op
 path, for exactly that window (the fallback ladder, §10 of the docs).
 
 Plans are memoised on the trace object (keyed by issue width, like
-lowered forms) and therefore ride along when the execution engine
-pickles prepared workloads; :func:`repro.workloads.lowering.
-invalidate_lowered` evicts them together with the lowered stream.
+lowered forms), so they live as long as the prepared workload that
+holds the trace; :func:`repro.workloads.lowering.invalidate_lowered`
+evicts them together with the lowered stream.
 """
 
 import heapq
@@ -655,8 +655,8 @@ def phase_plan(trace, issue_width, leased=True):
     compiled from the lowered stream; the leased variant is sliced out
     of it.  Plans are cached in the trace's ``__dict__`` keyed by
     ``(issue_width, leased)`` — the same memo pattern as lowered forms,
-    so compiled phases ride the engine's prepared-workload pickles and
-    are evicted together by
+    so compiled phases live as long as the prepared workload and are
+    evicted together by
     :func:`repro.workloads.lowering.invalidate_lowered`.
     """
     cache = trace.__dict__.get(_PLAN_ATTR)
@@ -676,29 +676,3 @@ def phase_plan(trace, issue_width, leased=True):
         else:
             plan = base
     return plan
-
-
-def compiled_plan_count(trace):
-    """Number of compiled phase plans memoised on ``trace``."""
-    cache = trace.__dict__.get(_PLAN_ATTR)
-    return len(cache) if cache else 0
-
-
-def plan_summary(trace):
-    """Return ``(plan_entries, phases)`` memoised on ``trace``.
-
-    ``plan_entries`` counts the cached plan variants (the memo keys);
-    ``phases`` counts distinct compiled :class:`Phase` windows across
-    them — variants share plan objects when a trace has no lease time,
-    so shared plans are tallied once.
-    """
-    cache = trace.__dict__.get(_PLAN_ATTR)
-    if not cache:
-        return 0, 0
-    phases = 0
-    seen = set()
-    for plan in cache.values():
-        if id(plan) not in seen:
-            seen.add(id(plan))
-            phases += plan.num_phases
-    return len(cache), phases

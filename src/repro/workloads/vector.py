@@ -34,8 +34,8 @@ imported at the first window compile or fold (:func:`numpy`), never at
 ``import repro.cli``: a run served from the result cache never loads it.
 
 Vector plans are memoised on the trace object (``_vector_plans``, same
-pattern as ``_phase_plans``) so they ride the engine's prepared-workload
-pickles and are evicted by
+pattern as ``_phase_plans``), so they live as long as the prepared
+workload that holds the trace, and are evicted by
 :func:`repro.workloads.lowering.invalidate_lowered`.
 """
 
@@ -188,18 +188,6 @@ class VectorWindow:
             value = self._cache[key] = builder()
         return value
 
-    def __getstate__(self):
-        # The memo holds fold closures over numpy arrays — not
-        # picklable, and cheap to rebuild — so it never rides the
-        # prepared-workload pickles.
-        return {name: getattr(self, name) for name in self.__slots__
-                if name != "_cache"}
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._cache = {}
-
     def op_kinds(self):
         """Per-mem-op kind codes in program order (an ``np.repeat``
         expansion of the SoA step stream; used by the window ledger)."""
@@ -275,7 +263,7 @@ def vector_plan(trace, issue_width, leased=True):
 
     Mirrors :func:`repro.workloads.phases.phase_plan`: one variant per
     ``(issue_width, leased)`` key, cached in the trace's ``__dict__``
-    so compiled windows ride the engine's prepared-workload pickles.
+    so compiled windows live as long as the prepared workload.
     Returns ``None`` on a numpy-less install.
     """
     if np is None:
@@ -379,9 +367,8 @@ def compiled_vector_count(trace):
 def vector_summary(trace):
     """Return ``(plan_entries, windows)`` memoised on ``trace``.
 
-    Mirrors :func:`repro.workloads.phases.plan_summary`: plan variants
-    share compiled objects when a trace has no lease time, so shared
-    plans tally once.
+    Plan variants share compiled objects when a trace has no lease
+    time, so shared plans tally once.
     """
     cache = trace.__dict__.get(_VECTOR_ATTR)
     if not cache:

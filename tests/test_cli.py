@@ -153,16 +153,15 @@ def test_cache_stats_command(fresh_engine, capsys):
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
     assert "entries        : 1" in out
-    assert "trace entries  : 1" in out
+    assert "trace entries" not in out
     assert "replay entries : " in out
     assert "last session" in out
     assert "hit ratio" in out
 
 
-def test_cache_stats_reads_each_trace_pickle_once(fresh_engine, capsys,
-                                                 monkeypatch):
-    """``cache stats`` tallies phase and vector plans in one walk, so a
-    fresh process unpickles every prepared trace exactly once."""
+def test_cache_stats_reads_no_pickle(fresh_engine, capsys, monkeypatch):
+    """``cache stats`` tallies entries by file size: a fresh process
+    unpickles nothing to report on the store."""
     from repro.sim import engine as engine_mod
     for benchmark in ("adpcm", "filter"):
         assert main(["run", "FUSION", benchmark, "--size", "tiny"]) == 0
@@ -177,21 +176,18 @@ def test_cache_stats_reads_each_trace_pickle_once(fresh_engine, capsys,
     monkeypatch.setattr(engine_mod.DiskCache, "_read_pickle", counted)
     capsys.readouterr()
     assert main(["cache", "stats"]) == 0
-    assert "trace entries  : 2" in capsys.readouterr().out
-    traces = [path for path in reads if "traces" in path.parts]
-    assert len(traces) == len(set(traces)) == 2
+    assert "entries        : 2" in capsys.readouterr().out
+    assert reads == []
 
 
 def test_cache_clear_command(fresh_engine, capsys):
     assert main(["run", "FUSION", "adpcm", "--size", "tiny"]) == 0
     capsys.readouterr()
     assert main(["cache", "clear"]) == 0
-    # 1 result + 1 prepared-trace entry.
-    assert "removed 2 cached file(s)" in capsys.readouterr().out
+    # The one result; prepared workloads never reach disk.
+    assert "removed 1 cached file(s)" in capsys.readouterr().out
     assert main(["cache", "stats"]) == 0
-    out = capsys.readouterr().out
-    assert "entries        : 0" in out
-    assert "trace entries  : 0" in out
+    assert "entries        : 0" in capsys.readouterr().out
 
 
 def test_profile_command(fresh_engine, capsys):
@@ -273,7 +269,6 @@ def test_cache_stats_reports_stale_schema_entries(fresh_engine, capsys):
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
     assert "stale schema   : 1 old-schema entrie(s)" in out
-    assert "vector entries :" in out
     assert main(["cache", "clear"]) == 0
     capsys.readouterr()
     assert main(["cache", "stats"]) == 0

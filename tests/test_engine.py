@@ -3,6 +3,7 @@
 
 import dataclasses
 import os
+import pathlib
 import pickle
 
 import pytest
@@ -84,6 +85,17 @@ def test_cache_key_varies_with_every_component():
         base, config=small_config().with_lease(77))))
     keys.add(cache_key(base, epoch=1))
     assert len(keys) == 6
+
+
+def test_equivalent_coresident_spellings_share_one_entry(engine):
+    batch = [RunRequest("FUSION", "adpcm+filter", "tiny"),
+             RunRequest("FUSION+FUSION", "adpcm+filter", "tiny")]
+    first, second = engine.run_batch(batch)
+    assert engine.telemetry.computed == 1
+    assert first == second
+    assert cache_key(RunRequest("FUSION+SHARED", "adpcm+filter",
+                                "tiny").normalized()) \
+        != cache_key(batch[0].normalized())
 
 
 def test_code_fingerprint_is_stable_in_process():
@@ -195,10 +207,8 @@ def test_disk_cache_disabled_by_env(tmp_path, monkeypatch, engine):
 
 def test_disk_cache_survives_corrupt_entry(engine):
     [first] = engine.run_batch(_batch("FUSION"))
-    # Corrupt the single result entry on disk (the other pickle under
-    # the root is the prepared-trace entry), drop the index, rerun.
-    entries = [path for path in engine.cache.root.rglob("*.pkl")
-               if "traces" not in path.parts]
+    # Corrupt the single result entry on disk, drop the index, rerun.
+    entries = list(engine.cache.root.rglob("*.pkl"))
     assert len(entries) == 1
     entries[0].write_bytes(b"not a pickle")
     engine.cache.clear_index()
@@ -211,74 +221,133 @@ def test_disk_cache_clear_removes_entries(engine):
     engine.run_batch(_batch("FUSION", "SHARED", "SCRATCH"))
     entries, total_bytes = engine.cache.disk_stats()
     assert entries == 3 and total_bytes > 0
-    # clear() removes the 3 results plus the 1 shared prepared-trace
-    # entry (all three systems ran the same benchmark+size).
-    assert engine.cache.clear() == 4
+    # Only the 3 results are on disk: prepared workloads never are.
+    assert engine.cache.clear() == 3
     assert engine.cache.disk_stats() == (0, 0)
-    assert engine.cache.trace_stats() == (0, 0)
 
 
-# -- prepared-workload trace cache -----------------------------------------
+# -- prepared workloads (memory only) --------------------------------------
 
-def test_prepared_trace_persisted_and_accounted(engine):
-    from repro.sim.engine import prepared_workload
-    engine.jobs = 1  # serial, so the accounting lands on engine.cache
+def test_prepared_workload_carries_lowering_and_mlp(engine):
+    from repro.workloads.vector import HAVE_NUMPY
+    engine.jobs = 1  # serial, so the memo lands on engine.cache
     engine.run_batch(_batch("FUSION", "SHARED"))
-    # One benchmark+size pair -> exactly one prepared-trace pickle,
-    # accounted separately from the two result entries.
-    assert engine.cache.disk_stats()[0] == 2
-    trace_entries, trace_bytes = engine.cache.trace_stats()
-    assert trace_entries == 1 and trace_bytes > 0
-    assert engine.cache.trace_stores == 1
-    assert engine.cache.trace_memory_hits == 1  # second system reused it
-
-    # A fresh cache over the same root loads the prepared workload from
-    # disk with the hot-path artifacts already attached.
-    fresh = DiskCache(engine.cache.root)
-    workload = prepared_workload("adpcm", "tiny", fresh, epoch=0)
-    assert fresh.trace_disk_hits == 1
+    # One benchmark+size pair -> one prepared workload, memoised in
+    # memory and shared by both systems; nothing but results on disk.
+    workload = engine.cache.load_trace(("adpcm", "tiny", 0))
     assert "_function_mlp" in workload.__dict__
     for trace in workload.invocations:
         assert "_lowered_by_width" in trace.__dict__
+        assert "_phase_plans" in trace.__dict__
+        assert ("_vector_plans" in trace.__dict__) == HAVE_NUMPY
+    assert engine.cache.disk_stats()[0] == 2
+    assert not list(engine.cache.root.rglob("traces"))
 
 
 def test_parallel_workers_share_the_engines_trace_store(tmp_path):
-    """Pool workers must write prepared traces under the *submitting*
-    engine's cache root, not the process-wide engine's."""
+    """Pool workers run on what the parent prepared and write nothing:
+    the parent stores every result."""
     engine = ExecutionEngine(jobs=2, cache=DiskCache(tmp_path / "p"))
     engine.run_batch(_batch("FUSION", "SHARED"))
     assert engine.telemetry.parallel_computed == 2
-    assert engine.cache.trace_stats()[0] == 1
+    assert engine.cache.load_trace(("adpcm", "tiny", 0)) is not None
+    assert engine.cache.disk_stats()[0] == 2
 
 
 def test_prepared_trace_simulates_identically(engine, tmp_path):
     from repro.sim.engine import _execute
+    from repro.workloads.registry import clear_caches
     request = RunRequest("FUSION", "adpcm", "tiny").normalized()
     [via_engine] = engine.run_batch([request])
-    # Re-execute from the pickled prepared workload (cold process path).
-    fresh = DiskCache(engine.cache.root)
+    # Re-execute on a workload prepared from scratch (a cold process).
+    clear_caches()
+    fresh = DiskCache(tmp_path / "fresh")
     direct = _execute(request, fresh, 0)
-    assert fresh.trace_disk_hits == 1
+    assert fresh.load_trace(("adpcm", "tiny", 0)) is not None
     assert direct.accel_cycles == via_engine.accel_cycles
     assert direct.total_cycles == via_engine.total_cycles
     assert direct.stats == via_engine.stats
 
 
-def test_trace_cache_key_varies_and_respects_epoch():
-    from repro.sim.engine import trace_cache_key
-    keys = {trace_cache_key("fft", "tiny"),
-            trace_cache_key("adpcm", "tiny"),
-            trace_cache_key("fft", "small"),
-            trace_cache_key("fft", "tiny", epoch=1)}
-    assert len(keys) == 4
-    assert trace_cache_key("fft", "tiny") == trace_cache_key("fft", "tiny")
+def test_trace_cache_key_varies_and_respects_epoch(tmp_path):
+    from repro.sim.engine import prepared_workload
+    cache = DiskCache(tmp_path / "c")
+    tiny = prepared_workload("adpcm", "tiny", cache)
+    assert prepared_workload("adpcm", "tiny", cache) is tiny
+    assert prepared_workload("filter", "tiny", cache) is not tiny
+    # A new epoch re-prepares (clear_cache() bumps it after mutating
+    # global models); the old entry stays under its own key.
+    assert cache.load_trace(("adpcm", "tiny", 1)) is None
+    prepared_workload("adpcm", "tiny", cache, epoch=1)
+    assert cache.load_trace(("adpcm", "tiny", 1)) is not None
+    assert cache.load_trace(("adpcm", "tiny", 0)) is tiny
 
 
-def test_trace_cache_disabled_by_env(engine, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    engine.run_batch(_batch("FUSION"))
-    assert engine.cache.trace_stats() == (0, 0)
-    assert engine.cache.trace_stores == 0
+def test_cold_batch_leaves_only_results_on_disk(engine):
+    engine.run_batch(_batch("FUSION", "SHARED", benchmark="filter"))
+    root = engine.cache.root
+    files = [path.relative_to(root) for path in root.rglob("*")
+             if path.is_file()]
+    results = [path for path in files if path.suffix == ".pkl"]
+    assert len(results) == 2
+    # Besides the results: the session stats and the writers' lock.
+    assert sorted(set(files) - set(results)) == [
+        pathlib.Path(".lock"), pathlib.Path("stats.json")]
+
+
+@pytest.fixture
+def counted_builds(tmp_path, monkeypatch):
+    """Swap the registry's kernel builders for ones that append their
+    benchmark to a log file (parent and forked workers alike) and raise
+    for every name in the returned set; drops every memoised build.
+    Yields ``(log path, failing names)``."""
+    from repro.workloads import registry
+    log, failing = tmp_path / "builds.log", set()
+    for name, build in list(registry._BUILDERS.items()):
+        def counted(factory, _name=name, _build=build, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(_name + "\n")
+            if _name in failing:
+                raise RuntimeError("injected build failure")
+            return _build(factory, **kwargs)
+        monkeypatch.setitem(registry._BUILDERS, name, counted)
+    reset_engine()
+    registry.clear_caches()
+    yield log, failing
+    registry.clear_caches()
+    reset_engine()
+
+
+def test_pool_batch_builds_each_benchmark_once(tmp_path, counted_builds):
+    engine = ExecutionEngine(jobs=2, cache=DiskCache(tmp_path / "p"))
+    batch = (_batch("FUSION", "SHARED", benchmark="adpcm")
+             + _batch("FUSION", "SHARED", benchmark="filter"))
+    results = engine.run_batch(batch)
+    assert engine.telemetry.parallel_computed == 4
+    assert sorted(counted_builds[0].read_text().split()) == [
+        "adpcm", "filter"]
+    serial = ExecutionEngine(jobs=1, cache=DiskCache(tmp_path / "s"))
+    assert results == serial.run_batch(batch)
+
+
+def test_pool_batch_build_failure_fails_only_its_points(
+        tmp_path, monkeypatch, counted_builds):
+    from repro.sim.results import FailedResult
+    counted_builds[1].add("filter")
+    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+    engine = ExecutionEngine(jobs=2, cache=DiskCache(tmp_path / "p"),
+                             retries=0)
+    batch = (_batch("FUSION", "SHARED", benchmark="adpcm")
+             + _batch("FUSION", "SHARED", benchmark="filter"))
+    results = engine.run_batch(batch, strict=False)
+    assert [type(result) is FailedResult for result in results] == [
+        False, False, True, True]
+    assert all("injected build failure" in result.error
+               for result in results[2:])
+    assert results[0].accel_cycles > 0 and results[1].accel_cycles > 0
+    with pytest.raises(RuntimeError, match="injected build failure"):
+        ExecutionEngine(jobs=2, cache=DiskCache(tmp_path / "q"),
+                        retries=0).run_batch(batch)
 
 
 # -- batching --------------------------------------------------------------
@@ -419,14 +488,14 @@ def test_clear_cache_clears_workload_registry():
     assert after is not before
 
 
-# -- cache schema migration (v1 -> v2) --------------------------------------
+# -- cache schema migration (v2 -> v3) --------------------------------------
 
 def _plant_stale_schema(root, entries=2):
     """Drop pickles into an old-schema version dir, the way a pre-bump
-    process left them (results under ``v1/<aa>/`` plus one prepared
-    trace under ``v1/traces/<aa>/``)."""
+    process left them (results under ``v2/<aa>/`` plus one prepared
+    trace under ``v2/traces/<aa>/``)."""
     import pickle as pkl
-    stale = root / "v1"
+    stale = root / "v2"
     written = []
     for index in range(entries):
         sub = stale / ("a%d" % index)
@@ -452,7 +521,7 @@ def test_entries_live_under_versioned_dir(engine):
 
 def test_stale_schema_entries_are_never_read(engine):
     """Old-schema pickles sit in their own tree: a run over a root
-    holding only v1 entries recomputes (no torn reads, no corrupt
+    holding only v2 entries recomputes (no torn reads, no corrupt
     drops) and writes fresh entries under the current dir."""
     _plant_stale_schema(engine.cache.root)
     [result] = engine.run_batch(_batch("FUSION"))
@@ -461,43 +530,25 @@ def test_stale_schema_entries_are_never_read(engine):
     assert engine.cache.corrupt_drops == 0
     assert result.accel_cycles > 0
     # The stale tree is untouched by normal operation.
-    assert len(list((engine.cache.root / "v1").rglob("*.pkl"))) == 3
+    assert len(list((engine.cache.root / "v2").rglob("*.pkl"))) == 3
 
 
 def test_stale_schema_stats_counts_old_entries(engine):
     assert engine.cache.stale_schema_stats() == (0, 0)
     _plant_stale_schema(engine.cache.root)
     engine.run_batch(_batch("FUSION"))
+    # The old tree's prepared trace counts as a stale entry too.
     entries, total_bytes = engine.cache.stale_schema_stats()
     assert entries == 3 and total_bytes > 0
     # Current-schema tallies exclude the stale tree.
     assert engine.cache.disk_stats()[0] == 1
-    assert engine.cache.trace_stats()[0] == 1
 
 
 def test_clear_reaps_stale_schema_dirs(engine):
     _plant_stale_schema(engine.cache.root)
     engine.run_batch(_batch("FUSION"))
-    # 1 result + 1 prepared trace (current) + 3 stale entries.
-    assert engine.cache.clear() == 5
+    # 1 result (current) + 3 stale entries.
+    assert engine.cache.clear() == 4
     assert engine.cache.stale_schema_stats() == (0, 0)
-    assert not (engine.cache.root / "v1").exists()
+    assert not (engine.cache.root / "v2").exists()
     assert engine.cache.disk_stats() == (0, 0)
-
-
-def test_vector_stats_counts_soa_plans(engine):
-    from repro.workloads.vector import HAVE_NUMPY
-    assert engine.cache.plan_stats() == ((0, 0), (0, 0))
-    engine.jobs = 1  # serial, so prepared traces land on engine.cache
-    engine.run_batch(_batch("FUSION"))
-    stats = engine.cache.plan_stats()
-    plan_entries, windows = stats[1]
-    if HAVE_NUMPY:
-        assert plan_entries > 0
-    else:
-        assert (plan_entries, windows) == (0, 0)
-
-    # A fresh cache over the same root sees the plans ride the
-    # prepared-trace pickles from disk.
-    fresh = DiskCache(engine.cache.root)
-    assert fresh.plan_stats() == stats
