@@ -42,8 +42,9 @@ Gate with the ``REPLAY_INVOCATIONS`` module flag, like
 ``STEADY_PHASES``.  See ``docs/simulator.md`` §11.
 """
 
-from ..common.types import ComputeOp, MemOp
+from ..common.types import trace_fingerprint
 from ..mem.cache import CacheLine
+from ..workloads.lowering import content_source
 
 #: Master toggle for the invocation replay rung; the differential
 #: oracle (``tests/test_oracle.py``) flips the module attribute.
@@ -93,32 +94,28 @@ class Ineligible(Exception):
 
 #: Content fingerprint -> small interned id.  Kernels record a *fresh*
 #: FunctionTrace object per iteration, so identity keying would never
-#: hit; the fingerprint hashes the op stream once per trace object and
-#: interning keeps the per-invocation key a cheap tuple of ints.
+#: hit; the fingerprint hashes the op stream once per distinct content
+#: (equal traces of a prepared workload share one source) and interning
+#: keeps the per-invocation key a cheap tuple of ints.
 _FINGERPRINT_IDS = {}
 
 
-def _trace_fingerprint(trace):
-    parts = [trace.name, trace.benchmark, trace.lease_time]
-    append = parts.append
-    for op in trace.ops:
-        cls = op.__class__
-        if cls is MemOp:
-            append((op.is_store, op.addr, op.size, op.array))
-        elif cls is ComputeOp:
-            append((op.int_ops, op.fp_ops))
-        else:
-            append(("marker", getattr(op, "label", "")))
-    return tuple(parts)
-
-
 def trace_replay_token(trace):
-    """Interned content id for ``trace`` (memoised on the trace)."""
+    """Interned content id for ``trace`` (memoised on the trace).
+
+    A trace that shares its prepared forms with an equal one
+    (:func:`~repro.workloads.lowering.content_source`) takes that
+    trace's token, so each distinct content is fingerprinted once.
+    """
     token = trace.__dict__.get("_replay_token")
     if token is None:
-        fingerprint = _trace_fingerprint(trace)
-        token = _FINGERPRINT_IDS.setdefault(fingerprint,
-                                            len(_FINGERPRINT_IDS))
+        source = content_source(trace)
+        if source is not trace:
+            token = trace_replay_token(source)
+        else:
+            fingerprint = trace_fingerprint(trace)
+            token = _FINGERPRINT_IDS.setdefault(fingerprint,
+                                                len(_FINGERPRINT_IDS))
         trace.__dict__["_replay_token"] = token
     return token
 

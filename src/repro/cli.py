@@ -29,6 +29,7 @@ import os
 import sys
 import threading
 
+from .common import collector
 from .common.config import small_config
 from .common.config_io import load_config
 from .common.errors import ConfigError
@@ -907,11 +908,11 @@ def main(argv=None, one_shot=False):
     ``one_shot`` says the process ends when this returns (only
     :func:`entry` sets it): every command but ``serve`` then freezes
     what its engine batches leave alive
-    (:func:`~repro.sim.engine.freeze_batch_survivors`).
+    (:func:`~repro.common.collector.freeze_batch_survivors`).
     """
     args = build_parser().parse_args(argv)
     if one_shot and args.func is not _cmd_serve:
-        engine_mod.freeze_batch_survivors()
+        collector.freeze_batch_survivors()
     if (args.jobs is not None or args.no_cache
             or args.timeout is not None or args.retries is not None):
         engine_mod.configure(

@@ -6,7 +6,7 @@ them.  Addresses are plain integers (virtual on the accelerator tile,
 physical on the host side); :func:`block_address` aligns them to cache lines.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, auto
 
 from .units import LINE_SIZE
@@ -154,6 +154,45 @@ class FunctionTrace:
             cached = self.__dict__["_dirty_blocks"] = {
                 op.block for op in self.mem_ops() if op.is_store}
         return cached
+
+
+def _op_key(op):
+    """Exact key of one op of a class other than plain MemOp/ComputeOp:
+    its class and every field its ``__eq__`` compares.  An op that is
+    not a dataclass keys on itself, so its own ``__eq__`` decides."""
+    if not is_dataclass(op):
+        return (op.__class__, op)
+    return (op.__class__,) + tuple(getattr(op, f.name) for f in fields(op)
+                                   if f.compare)
+
+
+def trace_fingerprint(trace):
+    """Exact content key of ``trace``: name, benchmark, lease time and
+    every op as its class plus every compared field.
+
+    Two traces have equal fingerprints only when they are equal traces
+    (``trace.ops == other.ops`` among them), so lowering may share
+    prepared forms between them and replay may share recordings.
+
+    Plain MemOp and ComputeOp entries name their class by shape alone:
+    ``(is_store, addr, size, array)`` and ``(int_ops, fp_ops)`` differ
+    in length from each other, and from any other op's entry in their
+    first item, which for every other op is its class.  Holding only
+    ints, bools and strings, they are tuples the collector stops
+    tracking, so the fingerprints replay keeps add nothing to later
+    collections.  ``is_store`` stands for ``kind``, one to one.
+    """
+    parts = [trace.name, trace.benchmark, trace.lease_time]
+    append = parts.append
+    for op in trace.ops:
+        cls = op.__class__
+        if cls is MemOp:
+            append((op.is_store, op.addr, op.size, op.array))
+        elif cls is ComputeOp:
+            append((op.int_ops, op.fp_ops))
+        else:
+            append(_op_key(op))
+    return tuple(parts)
 
 
 @dataclass

@@ -41,10 +41,10 @@ throughput:
   crashes/hangs/cache corruption so all of it is testable in CI.
 
 * Automatic garbage collection is paused for the duration of each
-  batch (:func:`collector_paused`), pool workers included.  Every
-  simulation run leaves a cycle-free graph that refcounting frees, so
-  the collector would only re-traverse the batch's live traces and
-  results (docs/simulator.md §6.4).
+  batch (:func:`~repro.common.collector.collector_paused`), pool
+  workers included.  Every simulation run leaves a cycle-free graph
+  that refcounting frees, so the collector would only re-traverse the
+  batch's live traces and results (docs/simulator.md §6.4).
 
 The driver (:mod:`repro.sim.simulator`) routes every ``run()`` through
 the process-wide engine, so single-point callers transparently share
@@ -60,7 +60,6 @@ import os
 import pathlib
 import pickle
 import tempfile
-import threading
 import time
 import warnings
 
@@ -75,6 +74,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from ..common.collector import collector_paused
 from ..common.config import config_fingerprint, small_config
 from ..common.errors import ConfigError, ExecutionError, RunTimeout
 from ..systems import build_system, resolve
@@ -95,56 +95,6 @@ CACHE_SCHEMA_VERSION = 3
 
 _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("", "0", "false", "no", "off")
-
-
-_pause_lock = threading.Lock()
-_pause_depth = 0
-_pause_resume = False
-_pause_freezes = False
-
-
-@contextlib.contextmanager
-def collector_paused():
-    """Pause automatic garbage collection for the enclosed block.
-
-    Pauses nest and may overlap across threads (the sweep service runs
-    batches on executor threads): the first to enter records whether
-    collection was on and switches it off, the last to leave restores
-    that state.  Sound only because simulation runs are cycle-free
-    (``tests/test_heap.py``); never wrap code that builds reference
-    cycles in bulk, such as the model checker.
-    """
-    global _pause_depth, _pause_resume
-    with _pause_lock:
-        if _pause_depth == 0:
-            _pause_resume = gc.isenabled()
-            gc.disable()
-        _pause_depth += 1
-    try:
-        yield
-    finally:
-        with _pause_lock:
-            _pause_depth -= 1
-            if _pause_depth == 0:
-                if _pause_freezes:
-                    gc.freeze()
-                if _pause_resume:
-                    gc.enable()
-
-
-def freeze_batch_survivors():
-    """From now on, move what a batch leaves alive into the collector's
-    permanent generation (``gc.freeze()``) as its pause ends.
-
-    Only for a process that ends soon after its batches, the one-shot
-    CLI (:func:`repro.cli.entry`): a batch's survivors (traces, plans,
-    results) live until exit, and collecting them after the pause only
-    walks them once more.  Never in a daemon: refcounting still frees
-    frozen objects, but a frozen cycle would live as long as the
-    process.
-    """
-    global _pause_freezes
-    _pause_freezes = True
 
 
 def _warn_env(name, value, why, fallback):

@@ -42,14 +42,36 @@ consumes them during window partitioning, before lowering).
 Lowered traces are memoised on the trace object itself (keyed by issue
 width), so every run of a prepared workload in a process — and every
 pool worker forked after the engine prepared it — reuses them.
+
+Kernels record a fresh trace object per invocation, and a kernel
+invoked repeatedly records equal ones: FFT at n=512 x16 runs 96
+invocations of 6 distinct contents.  :func:`lower_workload` therefore
+prepares each distinct content once.  It keys every invocation on its
+exact content (:func:`~repro.common.types.trace_fingerprint`) in a
+dict that lives only for the call; a later trace equal to an earlier
+one takes the earlier one's memo dicts (lowered streams, phase plans,
+vector plans) and a link to it (:func:`content_source`), from which
+invocation replay takes its token.  Preparation makes only long-lived
+objects and no cycles, so it runs with the collector paused
+(:func:`~repro.common.collector.collector_paused`, docs/simulator.md
+§6.4).
 """
 
 import math
 
-from ..common.types import ComputeOp, MemOp
+from ..common.collector import collector_paused
+from ..common.types import ComputeOp, MemOp, trace_fingerprint
 
 #: Attribute used to memoise lowered forms on a trace object.
 _CACHE_ATTR = "_lowered_by_width"
+
+#: The memo dicts an equal trace shares with its content source: the
+#: lowered streams, phase plans (:mod:`.phases`) and vector plans
+#: (:mod:`.vector`).
+_SHARED_ATTRS = (_CACHE_ATTR, "_phase_plans", "_vector_plans")
+
+#: Attribute linking a trace to the equal trace it shares memos with.
+_SOURCE_ATTR = "_content_source"
 
 
 class LoweredTrace:
@@ -197,19 +219,35 @@ def lowered_trace(trace, issue_width):
     return lowered
 
 
+def content_source(trace):
+    """The equal trace whose prepared forms ``trace`` shares, or
+    ``trace`` itself.
+
+    :func:`lower_workload` sets the link.  It holds only while both
+    traces still share one lowered memo: once either is invalidated
+    (:func:`invalidate_lowered`), their contents may differ.
+    """
+    source = trace.__dict__.get(_SOURCE_ATTR)
+    if source is None or (source.__dict__.get(_CACHE_ATTR)
+                          is not trace.__dict__.get(_CACHE_ATTR)):
+        return trace
+    return source
+
+
 def invalidate_lowered(trace):
     """Drop a trace's memoised derived forms (after mutating its ops).
 
-    Clears the lowered streams, the compiled steady-state phase plans
-    (which are derived from the lowered streams) and the block-set
-    caches (:meth:`~repro.common.types.FunctionTrace.touched_blocks` /
-    ``dirty_blocks``) — everything derived from ``trace.ops``.
+    Clears the lowered streams, the compiled steady-state phase and
+    vector plans (which are derived from the lowered streams), the
+    block-set caches (:meth:`~repro.common.types.FunctionTrace.touched_blocks`
+    / ``dirty_blocks``), the DMA windows, the replay token and the link
+    to a content source — everything derived from ``trace.ops``.  Memos
+    shared with an equal trace are dropped from this trace only.
     """
-    trace.__dict__.pop(_CACHE_ATTR, None)
-    trace.__dict__.pop("_phase_plans", None)
-    trace.__dict__.pop("_vector_plans", None)
-    trace.__dict__.pop("_touched_blocks", None)
-    trace.__dict__.pop("_dirty_blocks", None)
+    for attr in _SHARED_ATTRS + (_SOURCE_ATTR, "_touched_blocks",
+                                 "_dirty_blocks", "_dma_windows",
+                                 "_replay_token"):
+        trace.__dict__.pop(attr, None)
 
 
 def lower_workload(workload, issue_width=4):
@@ -220,17 +258,28 @@ def lower_workload(workload, issue_width=4):
     ready-to-run streams.  Compiled phase plans (the steady-state fast
     path's unit of work) are built here too — and, when numpy is
     available, the structure-of-arrays vector plans above them (the
-    vector rung; skipped cleanly on a numpy-less install).  Returns
-    the workload for chaining.
+    vector rung; skipped cleanly on a numpy-less install).  Each
+    distinct content is prepared once: an invocation equal to an
+    earlier one shares its memos instead.  Runs with the collector
+    paused.  Returns the workload for chaining.
     """
     from . import vector
     from .phases import phase_plan
 
-    for trace in workload.invocations:
-        lowered_trace(trace, issue_width)
-        phase_plan(trace, issue_width, leased=True)
-        phase_plan(trace, issue_width, leased=False)
-        if vector.HAVE_NUMPY:
-            vector.vector_plan(trace, issue_width, leased=True)
-            vector.vector_plan(trace, issue_width, leased=False)
+    with collector_paused():
+        sources = {}
+        for trace in workload.invocations:
+            source = sources.setdefault(trace_fingerprint(trace), trace)
+            if source is not trace:
+                for attr in _SHARED_ATTRS:
+                    if attr in source.__dict__:
+                        trace.__dict__[attr] = source.__dict__[attr]
+                trace.__dict__[_SOURCE_ATTR] = source
+                continue
+            lowered_trace(trace, issue_width)
+            phase_plan(trace, issue_width, leased=True)
+            phase_plan(trace, issue_width, leased=False)
+            if vector.HAVE_NUMPY:
+                vector.vector_plan(trace, issue_width, leased=True)
+                vector.vector_plan(trace, issue_width, leased=False)
     return workload

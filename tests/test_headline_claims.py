@@ -1,8 +1,9 @@
 """EXPERIMENTS.md's "Headline claims" table quotes the committed tables.
 
-Every measured value in that table must equal what the committed
-full-size tables under ``benchmarks/results/`` say, so a hand-copied
-number cannot drift from the regenerated one unnoticed.
+Every measured value in that table, and the range the Figure 6a section
+quotes, must equal what the committed full-size tables under
+``benchmarks/results/`` say, so a hand-copied number cannot drift from
+the regenerated one unnoticed.
 """
 
 import pathlib
@@ -71,3 +72,19 @@ def test_energy_claim_quotes_figure6():
         min(cycles[name] for name in names),
         max(cycles[name] for name in names))
     assert _claims()[ENERGY_ROW] == expected
+
+
+def test_figure6a_prose_quotes_the_small_wset_range():
+    """The Figure 6a section's "within X–Y % of SCRATCH on the
+    small-WSet trio" spans FUSION's ADPCM/SUSAN/FILT energy totals."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    section = text.split("## Figure 6a", 1)[1].split("\n## ", 1)[0]
+    quoted = re.search(r"within (\d+)–(\d+) % of SCRATCH on the\s+"
+                       r"small-WSet trio", section)
+    assert quoted, "Figure 6a section no longer quotes the range"
+    excess = [round((float(row[2]) - 1) * 100)
+              for row in _table("figure6a.txt")
+              if row[1] == "FUSION" and row[0] in ("ADPCM", "SUSAN", "FILT.")]
+    assert len(excess) == 3
+    assert (int(quoted.group(1)), int(quoted.group(2))) == \
+        (min(excess), max(excess))

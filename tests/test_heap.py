@@ -3,10 +3,11 @@
 * Every simulation run leaves a cycle-free graph: once the system is
   dropped, refcounting frees it and the collector finds nothing.  This
   is what makes pausing automatic collection per engine batch safe.
-* The pause covers ``ExecutionEngine.run_batch`` and nothing else: the
-  collector's state after a batch is the state before it, whatever way
-  the batch ends and however many threads run batches at once; the
-  model checker runs with collection on.
+* The pause covers ``ExecutionEngine.run_batch`` and ``lower_workload``
+  (which makes no cycles either) and nothing else: the collector's
+  state after a batch is the state before it, whatever way the batch
+  ends and however many threads run batches at once; the model checker
+  runs with collection on.
 * The ``fusion-sim`` process entry ends with ``os._exit`` and loses no
   output, journal line or session stat on the way; in-process
   ``main()`` never exits.
@@ -26,10 +27,12 @@ import threading
 import pytest
 
 from repro import cli
+from repro.common import collector
 from repro.common.config import small_config
 from repro.sim import engine as engine_mod
 from repro.sim.engine import DiskCache, ExecutionEngine, RunRequest
 from repro.systems import SYSTEMS, build_system
+from repro.workloads import lowering, registry
 from repro.workloads.registry import build_workload
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
@@ -181,13 +184,13 @@ def test_concurrent_batches_restore_collector(tmp_path, gc_restored):
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
     assert gc.isenabled()
-    assert engine_mod._pause_depth == 0
+    assert collector._pause_depth == 0
 
 
 def test_nested_pauses_restore_the_outer_state(gc_restored):
     gc.enable()
-    with engine_mod.collector_paused():
-        with engine_mod.collector_paused():
+    with collector.collector_paused():
+        with collector.collector_paused():
             assert not gc.isenabled()
         assert not gc.isenabled()
     assert gc.isenabled()
@@ -202,7 +205,7 @@ def test_pause_holds_under_thread_churn(gc_restored):
 
     def churn():
         for _ in range(300):
-            with engine_mod.collector_paused():
+            with collector.collector_paused():
                 if gc.isenabled():
                     seen_on.append(True)
 
@@ -219,7 +222,58 @@ def test_pause_holds_under_thread_churn(gc_restored):
     assert not any(thread.is_alive() for thread in threads)
     assert not seen_on
     assert gc.isenabled()
-    assert engine_mod._pause_depth == 0
+    assert collector._pause_depth == 0
+
+
+# -- trace preparation -------------------------------------------------------
+
+def fresh_workload(name):
+    """A newly built, unprepared ``tiny`` workload (not the registry's)."""
+    return registry.build_workload_with_outputs.__wrapped__(name, "tiny")[0]
+
+
+def _spy_gc(monkeypatch, module, name):
+    """Record whether collection is on at each call of ``module.name``."""
+    seen = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_lower_workload_restores_collector_state(monkeypatch, gc_restored,
+                                                 enabled):
+    lowered = _spy_gc(monkeypatch, lowering, "lowered_trace")
+    (gc.enable if enabled else gc.disable)()
+    lowering.lower_workload(fresh_workload("fft"))
+    assert lowered and not any(lowered), "collection ran while lowering"
+    assert gc.isenabled() is enabled
+
+
+def test_lower_workload_nested_in_a_batch_keeps_the_batch_paused(
+        tmp_path, monkeypatch, gc_restored):
+    lowered = _spy_gc(monkeypatch, lowering, "lowered_trace")
+    after = _spy_gc(monkeypatch, engine_mod, "function_mlp")
+    gc.enable()
+    _engine(tmp_path).run_batch([RunRequest("FUSION", "fft", "tiny")])
+    assert lowered and not any(lowered)
+    assert after and not any(after), "lowering ended the batch's pause"
+    assert gc.isenabled()
+    assert collector._pause_depth == 0
+
+
+def test_lower_workload_is_cycle_free():
+    workload = fresh_workload("fft")
+    with saved_garbage() as garbage:
+        lowering.lower_workload(workload)
+        del workload
+        gc.collect()
+        assert not garbage
 
 
 # -- the CLI process ---------------------------------------------------------
@@ -239,16 +293,16 @@ def test_in_process_main_neither_exits_nor_touches_gc(
 
 def test_only_one_shot_commands_freeze_batch_survivors(
         fresh_engine, monkeypatch, capsys, gc_restored):
-    monkeypatch.setattr(engine_mod, "_pause_freezes", False)
+    monkeypatch.setattr(collector, "_pause_freezes", False)
     frozen = gc.get_freeze_count()
     assert cli.main(FIG6B) == 0
     assert gc.get_freeze_count() == frozen
     monkeypatch.setattr(cli, "_cmd_serve", lambda args: 0)
     assert cli.main(["serve"], one_shot=True) == 0
-    assert not engine_mod._pause_freezes
+    assert not collector._pause_freezes
     try:
         assert cli.main(FIG6B, one_shot=True) == 0
-        assert engine_mod._pause_freezes
+        assert collector._pause_freezes
         assert gc.get_freeze_count() > frozen
     finally:
         gc.unfreeze()

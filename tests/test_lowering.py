@@ -1,8 +1,11 @@
 """Trace lowering (repro.workloads.lowering)."""
 
+import copy
 import math
 
+import repro.accel.replay as replay_mod
 from repro.accel.core import AxcCore
+from repro.accel.replay import trace_replay_token
 from repro.common.stats import StatsRegistry
 from repro.common.types import (
     AccessType,
@@ -10,10 +13,14 @@ from repro.common.types import (
     FunctionTrace,
     MemOp,
     PhaseMarker,
+    WorkloadTrace,
     block_address,
+    trace_fingerprint,
 )
+from repro.host.dma import windows_for
 from repro.workloads.lowering import (
     LoweredTrace,
+    content_source,
     invalidate_lowered,
     lower_trace,
     lower_workload,
@@ -135,6 +142,97 @@ def test_lower_workload_prelowers_every_invocation(fft_tiny):
     for trace in fft_tiny.invocations:
         assert trace.__dict__["_lowered_by_width"][4] is \
             lowered_trace(trace, 4)
+
+
+class TracedMemOp(MemOp):
+    """A MemOp subclass: same fields, its own class."""
+
+
+def _variants():
+    """A trace and near-duplicates that differ from it in one respect
+    each; the two subclassed-op traces differ only in that op's
+    address, and the marker traces only in the label."""
+    def ops(first, marker="m"):
+        return [first, ComputeOp(int_ops=3), PhaseMarker(label=marker),
+                MemOp(AccessType.STORE, 0x200)]
+
+    load = MemOp(AccessType.LOAD, 0x100)
+    return [
+        _trace(ops(load)),
+        FunctionTrace("t", "b", ops(load), lease_time=101),
+        FunctionTrace("u", "b", ops(load), lease_time=100),
+        _trace(ops(MemOp(AccessType.LOAD, 0x140))),
+        _trace(ops(MemOp(AccessType.STORE, 0x100))),
+        _trace(ops(TracedMemOp(AccessType.LOAD, 0x100))),
+        _trace(ops(TracedMemOp(AccessType.LOAD, 0x140))),
+        _trace(ops(TracedMemOp(AccessType.STORE, 0x140))),
+        _trace(ops(load, marker="n")),
+    ]
+
+
+def test_fingerprint_is_exact():
+    """Equal fingerprints, and replay tokens, exactly when the traces
+    are equal, subclassed ops included; equal traces built apart
+    fingerprint alike."""
+    variants = _variants()
+    for a in variants:
+        for b in variants:
+            assert (trace_fingerprint(a) == trace_fingerprint(b)) == \
+                (a == b), (a, b)
+    assert len({trace_replay_token(trace) for trace in variants}) == \
+        len(variants)
+    twin = copy.deepcopy(variants[5])
+    assert twin.ops[0] is not variants[5].ops[0]
+    assert trace_fingerprint(twin) == trace_fingerprint(variants[5])
+
+
+def test_lower_workload_prepares_each_content_once(monkeypatch):
+    """Equal invocations share the first one's lowered stream and plans
+    and take its replay token without fingerprinting again."""
+    variants = _variants()
+    invocations = [copy.deepcopy(trace) for trace in variants * 3]
+    lower_workload(WorkloadTrace("b", invocations))
+    distinct = len(variants)
+    for index, trace in enumerate(invocations):
+        source = invocations[index % distinct]
+        assert content_source(trace) is source
+        assert "_lowered_by_width" in trace.__dict__
+        for attr in ("_lowered_by_width", "_phase_plans", "_vector_plans"):
+            assert trace.__dict__.get(attr) is source.__dict__.get(attr)
+    for a in invocations[:distinct]:
+        for b in invocations[:distinct]:
+            assert (lowered_trace(a, 4) is lowered_trace(b, 4)) == (a is b)
+
+    fingerprinted = []
+    monkeypatch.setattr(replay_mod, "trace_fingerprint", lambda trace: (
+        fingerprinted.append(trace) or trace_fingerprint(trace)))
+    tokens = [trace_replay_token(trace) for trace in invocations]
+    assert fingerprinted == invocations[:distinct]
+    assert tokens == tokens[:distinct] * 3
+
+
+def test_invalidate_drops_token_and_sharing():
+    """After its ops change and it is invalidated, a trace has its own
+    token and lowered form; an equal trace keeps the old content's."""
+    source, twin, other = (copy.deepcopy(_variants()[0]) for _ in range(3))
+    lower_workload(WorkloadTrace("b", [source, twin, other]))
+    old_token = trace_replay_token(twin)
+    old_lowered = lowered_trace(twin, 4)
+    windows_for(twin, 1)
+    twin.ops.append(MemOp(AccessType.LOAD, 0x400))
+    invalidate_lowered(twin)
+    assert content_source(twin) is twin
+    assert trace_replay_token(twin) != old_token
+    assert lowered_trace(twin, 4) is not old_lowered
+    assert lowered_trace(twin, 4).mem_ops == old_lowered.mem_ops + 1
+    assert 0x400 in {block for window in windows_for(twin, 1)
+                     for block in window.in_blocks}
+    # Changing the source unlinks the traces that shared its memos.
+    source.ops.append(MemOp(AccessType.LOAD, 0x400))
+    invalidate_lowered(source)
+    assert content_source(other) is other
+    assert trace_replay_token(other) == old_token
+    assert lowered_trace(other, 4) is old_lowered
 
 
 def test_run_and_iter_run_agree():

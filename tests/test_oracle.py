@@ -9,6 +9,8 @@ teeth tests fault each guard and demand that the oracle notices.
 """
 
 import contextlib
+import copy
+import dataclasses
 import itertools
 import pathlib
 import warnings
@@ -28,6 +30,7 @@ from repro.common.types import AccessType, ComputeOp, FunctionTrace, \
     MemOp, WorkloadTrace
 from repro.sim.engine import RunRequest, collector_paused
 from repro.systems import SYSTEMS, build_system
+from repro.workloads.lowering import lower_workload, lowered_trace
 
 # -- the rung flags -----------------------------------------------------------
 
@@ -322,6 +325,61 @@ def test_all_sixteen_combinations_on_fixed_traces(name):
     check(FIXED[name], COMBOS[1:],
           {system: make for system, make in MAKERS.items()
            if not system.startswith("POLICY static:")})
+
+
+# -- shared preparation -------------------------------------------------------
+
+class TracedMemOp(MemOp):
+    """A MemOp subclass: per-op path, and its own class in a key."""
+
+
+def near_duplicates(trace):
+    """Traces that differ from ``trace`` in one respect each: lease
+    time, name, its first access's line, and that access as a
+    subclassed op on its own line or on the next one."""
+    first = next(index for index, op in enumerate(trace.ops)
+                 if type(op) is MemOp)
+    op = trace.ops[first]
+
+    def with_first(cls, addr):
+        ops = list(trace.ops)
+        ops[first] = cls(op.kind, addr, op.size, op.array)
+        return dataclasses.replace(trace, ops=ops)
+
+    return [dataclasses.replace(trace, lease_time=trace.lease_time + 1),
+            dataclasses.replace(trace, name=trace.name + "'"),
+            with_first(MemOp, op.addr + 64),
+            with_first(TracedMemOp, op.addr),
+            with_first(TracedMemOp, op.addr + 64)]
+
+
+def test_shared_preparation_matches_per_op():
+    """Invocations that are distinct objects with equal content, next to
+    near-duplicates, prepared by ``lower_workload``: equal ones share
+    one lowered stream, near-duplicates do not, and every rung
+    combination on every system matches the per-op run on an
+    unprepared deep copy."""
+    pool, fns, _schedule, (partner, rounds) = FIXED["steady"]
+    workload = build(fns, pool=pool)[0]
+    first, second = workload.invocations
+    workload.invocations = [copy.deepcopy(trace) for trace in
+                            ([first, second] + near_duplicates(first)) * 3]
+    unprepared = copy.deepcopy(workload)
+    lower_workload(workload)
+    invocations = workload.invocations
+    for a in invocations:
+        for b in invocations:
+            assert (lowered_trace(a, 4) is lowered_trace(b, 4)) == \
+                (a == b), (a, b)
+    partner = build(partner, rounds=rounds)[0]
+    for name, make in MAKERS.items():
+        if name.startswith("POLICY static:"):
+            continue
+        reference = run(make, (copy.deepcopy(unprepared), partner, {}),
+                        PER_OP)
+        for combo in COMBOS:
+            assert run(make, (workload, partner, {}), combo) == reference, \
+                "{} differs from per-op with rungs {}".format(name, combo)
 
 
 # -- teeth: a faulted guard must fail the oracle ------------------------------
