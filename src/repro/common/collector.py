@@ -1,9 +1,9 @@
 """Pausing CPython's cyclic garbage collector (docs/simulator.md §6.4).
 
-Preparing a workload and running a simulation batch both allocate many
-long-lived objects and no reference cycles, so automatic collection
-would only traverse them again and free nothing.  Both run inside
-:func:`collector_paused`.  The pause lives here, below the workloads
+Preparing a workload, building and running a system, and running a
+simulation batch all allocate many long-lived objects and no garbage
+cycles, so automatic collection would only traverse them again and
+free nothing.  All of them run inside :func:`collector_paused`.  The pause lives here, below the workloads
 layer that prepares traces and the engine that runs batches, so each
 can take it without importing the other.
 """
@@ -25,7 +25,7 @@ def collector_paused():
     Pauses nest and may overlap across threads (the sweep service runs
     batches on executor threads): the first to enter records whether
     collection was on and switches it off, the last to leave restores
-    that state.  Sound only because simulation runs and trace
+    that state.  Sound only because system builds and runs and trace
     preparation are cycle-free (``tests/test_heap.py``); never wrap code
     that builds reference cycles in bulk, such as the model checker.
     """

@@ -29,6 +29,7 @@ from ..coherence.directory import TILE
 from ..coherence.lease_policy import CountingLeasePolicy
 from ..coherence.mesi import HostMemorySystem
 from ..coherence.strategy import BindContext, StrategyBinder
+from ..common.collector import collector_paused
 from ..common.stats import StatsRegistry
 from ..host.core import HostCore
 from ..mem.tlb import PageTable
@@ -59,11 +60,17 @@ class Tenant:
 
 
 class System:
-    """One simulated system: tenants, a topology, and the run loop."""
+    """One simulated system: tenants, a topology, and the run loop.
+
+    Building a system and running it make no garbage cycles (the run
+    cuts the one back-edge it built), so both run with the collector
+    paused (docs/simulator.md §6.4), wherever they are called from.
+    """
 
     #: Name reported as ``RunResult.system``.
     name = None
 
+    @collector_paused()
     def __init__(self, config, tenants, per_tile=False):
         """``tenants`` lists ``(workload, selector)`` pairs; ``per_tile``
         gives each its own tile (agent ``tile<pid>``, stats under
@@ -121,6 +128,7 @@ class System:
         self._counted_tiles = set()
         self.replay_engine = None
 
+    @collector_paused()
     def run(self):
         """Execute every tenant's workload; returns a :class:`RunResult`."""
         now = 0

@@ -3,11 +3,12 @@
 * Every simulation run leaves a cycle-free graph: once the system is
   dropped, refcounting frees it and the collector finds nothing.  This
   is what makes pausing automatic collection per engine batch safe.
-* The pause covers ``ExecutionEngine.run_batch`` and ``lower_workload``
-  (which makes no cycles either) and nothing else: the collector's
-  state after a batch is the state before it, whatever way the batch
-  ends and however many threads run batches at once; the model checker
-  runs with collection on.
+* The pause covers ``ExecutionEngine.run_batch``, ``lower_workload``
+  (which makes no cycles either) and building and running a system
+  outside a batch, and nothing else: the collector's state after a
+  batch is the state before it, whatever way the batch ends and however
+  many threads run batches at once; the model checker runs with
+  collection on.
 * The ``fusion-sim`` process entry ends with ``os._exit`` and loses no
   output, journal line or session stat on the way; in-process
   ``main()`` never exits.
@@ -32,6 +33,7 @@ from repro.common.config import small_config
 from repro.sim import engine as engine_mod
 from repro.sim.engine import DiskCache, ExecutionEngine, RunRequest
 from repro.systems import SYSTEMS, build_system
+from repro.systems import system as system_mod
 from repro.workloads import lowering, registry
 from repro.workloads.registry import build_workload
 
@@ -274,6 +276,21 @@ def test_lower_workload_is_cycle_free():
         del workload
         gc.collect()
         assert not garbage
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_direct_system_build_and_run_restore_collector_state(
+        monkeypatch, gc_restored, enabled):
+    built = _spy_gc(monkeypatch, system_mod, "function_mlp")
+    ran = _spy_gc(monkeypatch, system_mod.System, "_accelerate")
+    (gc.enable if enabled else gc.disable)()
+    system = SYSTEMS["FUSION"](small_config(), build_workload("fft", "tiny"))
+    assert gc.isenabled() is enabled
+    system.run()
+    assert built and not any(built), "collection ran while building"
+    assert ran and not any(ran), "collection ran while running"
+    assert gc.isenabled() is enabled
+    assert collector._pause_depth == 0
 
 
 # -- the CLI process ---------------------------------------------------------
