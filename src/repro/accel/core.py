@@ -42,7 +42,7 @@ Steady-state phases: one level above runs, the phase compiler
 are steady-state *candidates*.  When the caller supplies a
 ``phase_quote`` hook, each candidate window is offered to the protocol
 controller as a whole: a non-``None`` quote means every op of the phase
-was served and accounted in one protocol step (bulk sequence flusher,
+was served and accounted in one protocol step (bulk phase ledger,
 exact LRU advance), and the core applies a
 :class:`~repro.workloads.phases.PhaseTimeline` cached per relative
 entry state (outstanding fills expressed as clock offsets) in O(1) —

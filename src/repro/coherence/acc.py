@@ -30,7 +30,6 @@ lease epoch, not which L0X holds it.
 
 from ..common.config import WritePolicy
 from ..common.errors import ProtocolError
-from ..common.stats import compile_phase_ledger
 from ..common.types import AccessType, block_address
 from ..common.units import LINE_SIZE
 from ..energy import cacti
@@ -419,13 +418,18 @@ class AccL0XController:
             + [(axc_link.stats.qualified("write_flits"),
                 self.config.line_size // 8),
                (qualify("writebacks"), 1)])
-        #: Per-phase sequence flushers for the steady-state fast path,
-        #: keyed by the (immutable, trace-memoised) Phase object, the
-        #: lazily-built pair lists they bind, and the compiled ledger
-        #: programs memoised per (num_loads, num_stores).
-        self._phase_ledgers = {}
-        self._ledger_pairs = None
-        self._programs = {}
+        # The steady-state fast path charges a whole phase from the
+        # same pair lists the per-op flushers bind: a write-through
+        # store hit additionally carries the L1X-side increments that
+        # ``AccL1XController.write_through_run`` would flush, so the
+        # bulk path charges exactly what the per-op path charges.
+        if self._write_through:
+            store_pairs = self._flush_store_hit_wt.pairs \
+                + l1x._flush_write_through.pairs
+        else:
+            store_pairs = self._flush_store_hit.pairs
+        self._ledger_pairs = (self._flush_load_hit.pairs, store_pairs)
+        self._charge_phase = registry.phase_ledger(*self._ledger_pairs)
         #: Compiled batched-quote state for the vector rung, keyed by
         #: ``(VectorWindow, issue_interval)``.
         self._window_quotes = {}
@@ -451,11 +455,6 @@ class AccL0XController:
         self._add_accesses()
         self._add_energy(self._write_energy if is_store
                          else self._read_energy)
-
-    def _valid(self, line, now):
-        """ACC validity check: the lease is the invalidation."""
-        return line is not None and line.lease is not None and \
-            line.lease > now
 
     # -- the accelerator-facing access path ---------------------------------
 
@@ -604,9 +603,9 @@ class AccL0XController:
         * stored lines already in write state, and under write-through
           an L1X-resident copy of each.
 
-        On success every op is accounted here — the per-phase sequence
-        flusher replays the program-ordered counter/energy deltas
-        bit-identically, the LRU clock advances exactly
+        On success every op is accounted here — the phase ledger
+        replays the program-ordered counter/energy deltas bit-identically,
+        the LRU clock advances exactly
         (:meth:`~repro.mem.cache.SetAssocCache.touch_phase`), dirty
         marks are applied — and the returned ``(load_lat, store_lat)``
         lets the core replay or bulk-apply the issue timeline.
@@ -650,48 +649,8 @@ class AccL0XController:
             line.dirty = True
         for wt_line in wt_lines:
             wt_line.dirty = True
-        self._phase_ledger(phase)()
+        self._charge_phase(phase)
         return load_lat, store_lat
-
-    def _phase_ledger(self, phase):
-        """The phase's prebuilt counter ledger (cached per phase).
-
-        Built from the *same* pair lists the per-op flushers bind — a
-        write-through store event additionally carries the L1X-side
-        ``write_through`` increments that :meth:`AccL1XController.
-        write_through_run` would flush — so the bulk path charges
-        exactly what the per-op path charges, by construction.
-        """
-        ledger = self._phase_ledgers.get(phase)
-        if ledger is None:
-            pairs = self._phase_pairs()
-            # Given the controller's fixed pair lists, the compiled
-            # program depends only on the phase's op counts — memoise
-            # per (loads, stores) so ten thousand phases share a few
-            # hundred programs.
-            key = (phase.num_loads, phase.num_stores)
-            program = self._programs.get(key)
-            if program is None:
-                program = self._programs[key] = compile_phase_ledger(
-                    pairs[0], pairs[1], *key)
-            ledger = self.stats.registry.phase_flusher(phase.event_seq,
-                                                       program)
-            self._phase_ledgers[phase] = ledger
-        return ledger
-
-    def _phase_pairs(self):
-        """The controller's (load, store) hit pair lists, built lazily
-        (the L1X write-through flusher may not exist at construction)."""
-        pairs = self._ledger_pairs
-        if pairs is None:
-            load_pairs = self._flush_load_hit.pairs
-            if self._write_through:
-                store_pairs = self._flush_store_hit_wt.pairs \
-                    + self.l1x._flush_write_through.pairs
-            else:
-                store_pairs = self._flush_store_hit.pairs
-            pairs = self._ledger_pairs = (load_pairs, store_pairs)
-        return pairs
 
     def phase_quote_batch(self, window, now, horizon, interval):
         """Serve the longest guardable prefix of a phase *window* in
@@ -714,8 +673,8 @@ class AccL0XController:
         ledger for a full accept (exact amounts pre-summed over the
         window, energy counters folded serially with
         ``numpy.add.accumulate`` — the same float rounding sequence as
-        the per-phase flushers) — or the per-phase sequence ledgers
-        for a partial prefix or while a ``PjTrace`` is recording, so
+        the per-phase flushers) — or the per-phase ledgers for a
+        partial prefix or while a ``PjTrace`` is recording, so
         replay-rung recordings stay bit-identical.
 
         Returns ``(accepted_phases, load_lat, store_lat)`` or ``None``
@@ -778,7 +737,7 @@ class AccL0XController:
         else:
             phases = window.phases
             for j in range(accepted):
-                self._phase_ledger(phases[j])()
+                self._charge_phase(phases[j])
         return accepted, info.load_lat, info.store_lat
 
     def _compile_window(self, window, interval):
@@ -808,7 +767,7 @@ class AccL0XController:
         store_lat = load_lat
         if self._write_through and window.total_stores:
             store_lat += TILE_LINK_LATENCY + self.l1x.config.hit_latency
-        pairs = self._phase_pairs()
+        pairs = self._ledger_pairs
         bounds, lease_buf, line_scratch, wt_scratch, store_rows, \
             program = window.cached(
                 ("acc-quote", load_lat, store_lat, interval,

@@ -9,7 +9,6 @@ per-access latency and energy than a small private cache, which is
 exactly the tradeoff Lessons 1-3 quantify.
 """
 
-from ..common.stats import compile_phase_ledger
 from ..common.types import AccessType
 from ..common.units import LINE_SIZE
 from ..energy import cacti
@@ -62,12 +61,10 @@ class SharedL1XController:
         self._set_mask = self.config.num_sets - 1
         self._base_latency = SWITCH_LATENCY + self.config.hit_latency
         #: Steady-state phase fast path: per-phase translated block
-        #: info + prebuilt sequence flusher, keyed by the Phase object;
-        #: compiled ledger programs memoised per (num_loads,
-        #: num_stores); and the page table's affine offset (probed
-        #: lazily — ``False`` when translation is not a pure shift).
+        #: info keyed by the Phase object, and the page table's affine
+        #: offset (probed lazily — ``False`` when translation is not a
+        #: pure shift).
         self._phase_info = {}
-        self._programs = {}
         self._phys_delta = None
         #: Batched-quote state per VectorWindow (the vector rung).
         self._window_info = {}
@@ -91,6 +88,7 @@ class SharedL1XController:
         if link is None:
             self._flush_load_hit = None
             self._flush_store_hit = None
+            self._charge_phase = None
             return
         registry = self.stats.registry
         qualify = self.stats.qualified
@@ -107,6 +105,8 @@ class SharedL1XController:
                (qualify("hits"), 1)]
             + msg_counter_pairs(link, Msg.WT_DATA, self.stats,
                                 "store_data"))
+        self._charge_phase = registry.phase_ledger(
+            self._flush_load_hit.pairs, self._flush_store_hit.pairs)
 
     def _charge(self, is_store=False):
         self._add_accesses()
@@ -189,18 +189,17 @@ class SharedL1XController:
         of the phase resident — residency alone guarantees the per-op
         expansion would be all hits, exactly as in :meth:`access_run`
         (there are no leases to expire here, and the phase is the only
-        tile activity during its span).  On success the per-phase
-        sequence flusher charges the program-ordered counter deltas,
-        the LRU clock advances exactly, and stored lines are marked
-        dirty/modified.  Latency is the same constant for loads and
-        stores.  Returns ``None`` to decline.
+        tile activity during its span).  On success the phase ledger
+        charges the program-ordered counter deltas, the LRU clock
+        advances exactly, and stored lines are marked dirty/modified.
+        Latency is the same constant for loads and stores.  Returns
+        ``None`` to decline.
         """
         if self.banks is not None:
             return None
-        info = self._phase_info.get(phase)
-        if info is None:
-            info = self._compile_phase(phase)
-        pblocks, ledger = info
+        pblocks = self._phase_info.get(phase)
+        if pblocks is None:
+            pblocks = self._compile_phase(phase)
         lines = self.cache._lines
         touched = []
         dirty = []
@@ -215,12 +214,12 @@ class SharedL1XController:
         for line in dirty:
             line.dirty = True
             line.state = "M"
-        ledger()
+        self._charge_phase(phase)
         latency = self._base_latency + SWITCH_LATENCY
         return latency, latency
 
     def _compile_phase(self, phase):
-        """Translate a phase's lines and prebuild its ledger.
+        """Translate a phase's lines (cached per phase).
 
         The page table is a fixed deterministic mapping of ``(pid,
         vpn)`` — in this model an affine one: physical = virtual plus a
@@ -228,9 +227,7 @@ class SharedL1XController:
         confirms that, after which the phase's translated projection is
         just its ``block_info`` shifted by the line-aligned delta — no
         per-op walk.  Should the probe ever fail, the exact walk is the
-        fallback.  The compiled ledger program depends only on the op
-        counts, so phases share a small per-controller memo; each
-        phase still binds its own sequence flusher.
+        fallback.
         """
         delta = self._phys_delta
         if delta is None:
@@ -263,17 +260,8 @@ class SharedL1XController:
                 record[1] = position
             pblocks = tuple((pblock, info[pblock][0], info[pblock][1])
                             for pblock in order)
-        key = (phase.num_loads, phase.num_stores)
-        program = self._programs.get(key)
-        if program is None:
-            program = self._programs[key] = compile_phase_ledger(
-                self._flush_load_hit.pairs, self._flush_store_hit.pairs,
-                *key)
-        ledger = self.stats.registry.phase_flusher(phase.event_seq,
-                                                   program)
-        compiled = (pblocks, ledger)
-        self._phase_info[phase] = compiled
-        return compiled
+        self._phase_info[phase] = pblocks
+        return pblocks
 
     def phase_quote_batch(self, window, now, horizon, interval):
         """Serve the longest resident prefix of a phase *window* in one
@@ -287,7 +275,7 @@ class SharedL1XController:
         is the only tile activity during its span).  Application
         mirrors the per-phase quote — per-phase LRU advance and
         dirty/modified marks in phase order, then one bulk window
-        ledger for a full accept (or the per-phase sequence ledgers for
+        ledger for a full accept (or the per-phase ledgers for
         a partial prefix / while a ``PjTrace`` records).
 
         The L1X hit latency here exceeds the SHARED issue interval, so
@@ -339,10 +327,7 @@ class SharedL1XController:
         else:
             phases = window.phases
             for j in range(accepted):
-                info = self._phase_info.get(phases[j])
-                if info is None:
-                    info = self._compile_phase(phases[j])
-                info[1]()
+                self._charge_phase(phases[j])
         latency = self._base_latency + SWITCH_LATENCY
         return accepted, latency, latency
 

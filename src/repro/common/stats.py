@@ -38,11 +38,10 @@ class PjTrace:
     starting value, because ``*_pj`` amounts are not dyadic and float
     rounding depends on the running value.  While a trace is active
     (:meth:`StatsRegistry.begin_pj_trace`), every energy mutation — bound
-    handles, :meth:`~StatsRegistry.add`, and all three flusher kinds —
-    appends to the trace in program order, compressed at flush
-    granularity into per-name ``(amounts, repeat)`` blocks (the same
-    shape :func:`compile_event_sequence` produces), so replaying costs
-    one inner loop per *flush call* rather than per op.
+    handles, :meth:`~StatsRegistry.add`, per-event flushers and phase
+    ledgers — appends to the trace in program order, compressed at flush
+    granularity into per-name ``(amounts, repeat)`` blocks, so replaying
+    costs one inner loop per *flush call* rather than per op.
 
     Non-additive mutations (:meth:`~StatsRegistry.set`,
     :meth:`~StatsRegistry.merge`, :meth:`~StatsRegistry.clear`) poison
@@ -72,97 +71,6 @@ class PjTrace:
         return tuple((name, tuple((amounts, repeat)
                                   for amounts, repeat in blocks))
                      for name, blocks in self.blocks.items())
-
-
-def compile_event_sequence(events):
-    """Compile a program-ordered event sequence into a flush *program*.
-
-    ``events`` is a list of ``(pairs, repeat)``; the result is a
-    registry-independent ``(collapsed_items, replay_items)`` pair that
-    :meth:`StatsRegistry.sequence_flusher` binds to live counters.
-    Splitting compilation from binding lets callers cache the program on
-    long-lived objects (the phase engine caches one per compiled phase)
-    while every simulation run binds it to its own registry for free.
-
-    Identical ``pairs`` objects recurring across events — the common
-    case: a phase's event runs alternate between one load pair-list and
-    one store pair-list — are decomposed once and reused.
-    """
-    collapsed = {}
-    replay_blocks = {}          # name -> [(amounts tuple, repeat), ...]
-    replay_order = []
-    decomposed = {}             # id(pairs) -> (exact items, pj items)
-    for pairs, repeat in events:
-        decomp = decomposed.get(id(pairs))
-        if decomp is None:
-            exact = {}
-            per_event = {}
-            for name, amount in pairs:
-                if name.endswith("_pj"):
-                    amounts = per_event.get(name)
-                    if amounts is None:
-                        per_event[name] = [amount]
-                    else:
-                        amounts.append(amount)
-                else:
-                    exact[name] = exact.get(name, 0) + amount
-            decomp = (list(exact.items()),
-                      [(name, tuple(amounts))
-                       for name, amounts in per_event.items()])
-            decomposed[id(pairs)] = decomp
-        exact_items, pj_items = decomp
-        for name, amount in exact_items:
-            collapsed[name] = collapsed.get(name, 0) + amount * repeat
-        for name, amounts in pj_items:
-            blocks = replay_blocks.get(name)
-            if blocks is None:
-                replay_blocks[name] = blocks = []
-                replay_order.append(name)
-            blocks.append((amounts, repeat))
-    return (tuple(collapsed.items()),
-            tuple((name, tuple(replay_blocks[name]))
-                  for name in replay_order))
-
-
-def compile_phase_ledger(load_pairs, store_pairs, num_loads, num_stores):
-    """Compile a two-event-kind phase ledger into a flush program.
-
-    The phase engine's specialisation of :func:`compile_event_sequence`:
-    a phase's counter delta is fully determined by its load pair-list
-    (repeated ``num_loads`` times), its store pair-list (``num_stores``
-    times) and the program-ordered ``(is_store, count)`` event runs.
-    Exact (non-``_pj``) amounts collapse to ``amount * occurrences``;
-    energy names keep their per-event amounts per kind, and the flush
-    walks the event sequence so same-counter float rounding follows
-    program order exactly.  Compilation is O(pairs) — no walk over the
-    event sequence at all.
-
-    Returns ``(collapsed_items, pj_items)`` with ``pj_items`` entries of
-    ``(name, load_amounts, store_amounts)``; registry-independent, so
-    callers cache it on long-lived objects.
-    """
-    collapsed = {}
-    pj = {}
-    order = []
-    sides = []
-    if num_loads:
-        sides.append((load_pairs, 0, num_loads))
-    if num_stores:
-        sides.append((store_pairs, 1, num_stores))
-    for pairs, side, occurrences in sides:
-        for name, amount in pairs:
-            if name.endswith("_pj"):
-                record = pj.get(name)
-                if record is None:
-                    pj[name] = record = [[], []]
-                    order.append(name)
-                record[side].append(amount)
-            else:
-                collapsed[name] = collapsed.get(name,
-                                                0) + amount * occurrences
-    return (tuple(collapsed.items()),
-            tuple((name, tuple(pj[name][0]), tuple(pj[name][1]))
-                  for name in order))
 
 
 class StatsRegistry:
@@ -288,104 +196,97 @@ class StatsRegistry:
         flush.pairs = list(pairs)
         return flush
 
-    def sequence_flusher(self, events, program=None):
-        """Return a bulk handle replaying a program-ordered event *sequence*.
+    def phase_ledger(self, load_pairs, store_pairs):
+        """Return ``charge(phase)``, the steady-state phase engine's ledger.
 
-        ``events`` is a list of ``(pairs, repeat)``: the ``(name,
-        amount)`` increments of one event type, repeated ``repeat``
-        times before the next event type follows.  Calling the returned
-        ``flush()`` is bit-identical to walking the sequence and calling
-        :meth:`flusher`\\ (pairs)() once per repetition, in order: exact
-        (non-``_pj``) amounts are pre-summed across the whole sequence,
-        while every ``*_pj`` energy counter replays its amounts in the
-        original per-event order — same-counter float rounding is the
-        only ordering that matters, and it is preserved term by term.
+        ``load_pairs`` and ``store_pairs`` are the ``(name, amount)``
+        increments of one load hit and one store hit (a controller's
+        per-op :meth:`flusher` lists).  A phase's counter delta is fully
+        determined by them, its op counts and its program-ordered
+        ``(is_store, count)`` runs (``phase.event_seq``), so calling
+        ``charge(phase)`` is bit-identical to calling the per-op
+        flushers once per op in that order: exact (non-``_pj``) amounts
+        collapse to ``amount * occurrences``, while each ``*_pj``
+        counter replays its per-event amounts run by run, so
+        same-counter float rounding — and an active :class:`PjTrace`'s
+        recording — follows program order exactly.
 
-        ``program`` (optional) is a precompiled
-        :func:`compile_event_sequence` result for ``events`` — callers
-        that cache programs on long-lived objects pass it to make the
-        handle construction O(1).
-
-        This is the steady-state phase engine's ledger primitive: one
-        compiled phase charges its whole counter delta through a single
-        prebuilt handle (``docs/simulator.md`` §10).
+        The binder memoises what it builds: one compiled program per
+        ``(num_loads, num_stores)`` (ten thousand phases share a few
+        hundred) and one bound flush per phase object.
         """
         counters = self._counters
-        if program is None:
-            program = compile_event_sequence(events)
-        collapsed_items, replay_items = program
         trace_cell = self._pj_trace_cell
+        programs = {}
+        flushes = {}
 
-        def flush():
-            if replay_items:
-                trace = trace_cell[0]
-                if trace is not None:
-                    for name, blocks in replay_items:
-                        for amounts, repeat in blocks:
-                            trace.record(name, amounts, repeat)
-            for name, amount in collapsed_items:
-                counters[name] += amount
-            for name, blocks in replay_items:
-                value = counters[name]
-                for amounts, repeat in blocks:
-                    if len(amounts) == 1:
-                        amount = amounts[0]
-                        for _ in range(repeat):
-                            value += amount
+        def compile_program(num_loads, num_stores):
+            collapsed = {}
+            pj = {}
+            sides = []
+            if num_loads:
+                sides.append((load_pairs, 0, num_loads))
+            if num_stores:
+                sides.append((store_pairs, 1, num_stores))
+            for pairs, side, occurrences in sides:
+                for name, amount in pairs:
+                    if name.endswith("_pj"):
+                        record = pj.get(name)
+                        if record is None:
+                            pj[name] = record = ([], [])
+                        record[side].append(amount)
                     else:
-                        for _ in range(repeat):
-                            for amount in amounts:
+                        collapsed[name] = collapsed.get(
+                            name, 0) + amount * occurrences
+            return (tuple(collapsed.items()),
+                    tuple((name, tuple(loads), tuple(stores))
+                          for name, (loads, stores) in pj.items()))
+
+        def bind(phase):
+            key = (phase.num_loads, phase.num_stores)
+            program = programs.get(key)
+            if program is None:
+                program = programs[key] = compile_program(*key)
+            collapsed_items, pj_items = program
+            event_seq = phase.event_seq
+
+            def flush():
+                if pj_items:
+                    trace = trace_cell[0]
+                    if trace is not None:
+                        for name, load_amounts, store_amounts in pj_items:
+                            for is_store, count in event_seq:
+                                amounts = (store_amounts if is_store
+                                           else load_amounts)
+                                if amounts:
+                                    trace.record(name, amounts, count)
+                for name, amount in collapsed_items:
+                    counters[name] += amount
+                for name, load_amounts, store_amounts in pj_items:
+                    value = counters[name]
+                    for is_store, count in event_seq:
+                        amounts = store_amounts if is_store else load_amounts
+                        if not amounts:
+                            continue
+                        if len(amounts) == 1:
+                            amount = amounts[0]
+                            for _ in range(count):
                                 value += amount
-                counters[name] = value
+                        else:
+                            for _ in range(count):
+                                for amount in amounts:
+                                    value += amount
+                    counters[name] = value
 
-        flush.events = events
-        flush.program = program
-        return flush
+            return flush
 
-    def phase_flusher(self, event_seq, program):
-        """Bind a :func:`compile_phase_ledger` program to this registry.
+        def charge(phase):
+            flush = flushes.get(phase)
+            if flush is None:
+                flush = flushes[phase] = bind(phase)
+            flush()
 
-        ``event_seq`` is the phase's program-ordered ``(is_store,
-        count)`` runs; calling the returned ``flush()`` is bit-identical
-        to replaying the per-op flushers over the sequence (exact
-        amounts pre-summed, ``*_pj`` rounding replayed in program
-        order).  Binding is O(1) — the phase engine compiles the
-        program once per phase and rebinds it in every simulation run.
-        """
-        counters = self._counters
-        collapsed_items, pj_items = program
-        trace_cell = self._pj_trace_cell
-
-        def flush():
-            if pj_items:
-                trace = trace_cell[0]
-                if trace is not None:
-                    for name, load_amounts, store_amounts in pj_items:
-                        for is_store, count in event_seq:
-                            amounts = (store_amounts if is_store
-                                       else load_amounts)
-                            if amounts:
-                                trace.record(name, amounts, count)
-            for name, amount in collapsed_items:
-                counters[name] += amount
-            for name, load_amounts, store_amounts in pj_items:
-                value = counters[name]
-                for is_store, count in event_seq:
-                    amounts = store_amounts if is_store else load_amounts
-                    if not amounts:
-                        continue
-                    if len(amounts) == 1:
-                        amount = amounts[0]
-                        for _ in range(count):
-                            value += amount
-                    else:
-                        for _ in range(count):
-                            for amount in amounts:
-                                value += amount
-                counters[name] = value
-
-        flush.program = program
-        return flush
+        return charge
 
     def window_flusher(self, program):
         """Bind a whole-window bulk ledger (the vector rung's apply).

@@ -13,7 +13,6 @@ on request-message energy (it is push-based; Lesson 4).
 
 from dataclasses import dataclass, field
 
-from ..common.stats import compile_phase_ledger
 from ..common.types import AccessType, FunctionTrace, MemOp
 from ..common.units import LINE_SIZE
 from ..energy import cacti
@@ -180,11 +179,10 @@ class ScratchpadAccessModel:
         self._flush_store = registry.flusher([
             (qualify("accesses"), 1),
             (qualify("energy_pj"), self._write_energy)])
-        #: Per-phase sequence flushers (steady-state fast path), plus
-        #: compiled ledger programs memoised per (num_loads, num_stores)
-        #: and whole-window bulk ledgers (the vector rung).
-        self._phase_ledgers = {}
-        self._programs = {}
+        #: Whole-phase ledger (steady-state fast path) and whole-window
+        #: bulk ledgers (the vector rung).
+        self._charge_phase = registry.phase_ledger(
+            self._flush_load.pairs, self._flush_store.pairs)
         self._window_ledgers = {}
 
     def access(self, op, now):
@@ -225,7 +223,7 @@ class ScratchpadAccessModel:
         place, capacity permitting).  A load-first absent block or an
         allocation overflow declines, so the per-op fallback raises the
         exact oracle-DMA error the per-op path would.  On success the
-        phase's whole counter delta is one sequence-flusher call and
+        phase's whole counter delta is one phase-ledger call and
         the dirty marks converge to the per-op result (a block is dirty
         iff the phase stores to it or it already was).
         """
@@ -249,7 +247,7 @@ class ScratchpadAccessModel:
             blocks[block] = True
         for block in stored:
             blocks[block] = True
-        self._phase_ledger(phase)()
+        self._charge_phase(phase)
         return self.latency, self.latency
 
     def phase_quote_batch(self, window, now, horizon, interval):
@@ -306,7 +304,7 @@ class ScratchpadAccessModel:
             self._window_ledger(window)()
         else:
             for j in range(accepted):
-                self._phase_ledger(phases[j])()
+                self._charge_phase(phases[j])
         return accepted, self.latency, self.latency
 
     def _window_ledger(self, window):
@@ -326,18 +324,4 @@ class ScratchpadAccessModel:
                     load_pairs, store_pairs, window))
             ledger = self._window_ledgers[window] = \
                 self.stats.registry.window_flusher(program)
-        return ledger
-
-    def _phase_ledger(self, phase):
-        ledger = self._phase_ledgers.get(phase)
-        if ledger is None:
-            key = (phase.num_loads, phase.num_stores)
-            program = self._programs.get(key)
-            if program is None:
-                program = self._programs[key] = compile_phase_ledger(
-                    self._flush_load.pairs, self._flush_store.pairs,
-                    *key)
-            ledger = self.stats.registry.phase_flusher(phase.event_seq,
-                                                       program)
-            self._phase_ledgers[phase] = ledger
         return ledger

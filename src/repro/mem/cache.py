@@ -95,10 +95,6 @@ class SetAssocCache:
     def _set_for(self, addr):
         return self._sets[(addr >> self._set_shift) & self._set_mask]
 
-    def _tick(self):
-        self._use_clock += 1
-        return self._use_clock
-
     # -- queries ----------------------------------------------------------
 
     def lookup(self, addr, touch=True):

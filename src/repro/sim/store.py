@@ -381,15 +381,6 @@ class ExperimentStore:
             counts[row["status"]] = row["n"]
         return counts
 
-    def runnable_count(self):
-        now = time.time()
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM runs WHERE "
-                "status = 'pending' OR (status = 'claimed' AND "
-                "claim_expires < ?)", (now,)).fetchone()
-        return row["n"]
-
     # -- events (journal bridge) -------------------------------------------
 
     def record_event(self, source, event, **detail):

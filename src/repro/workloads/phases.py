@@ -18,9 +18,9 @@ subclassed op types) — plus fallback gaps covering everything else
 per-phase aggregates:
 
 * ``event_seq`` — the program-ordered ``(is_store, count)`` event runs,
-  from which a controller builds one bulk *sequence flusher*
-  (:meth:`repro.common.stats.StatsRegistry.sequence_flusher`) charging
-  the phase's whole counter/energy delta bit-identically to the per-op
+  from which a controller's phase ledger
+  (:meth:`repro.common.stats.StatsRegistry.phase_ledger`) charges the
+  phase's whole counter/energy delta bit-identically to the per-op
   path;
 * ``block_info`` — per distinct line: load/store counts, the kind of
   its first access, and the ordinal of its *last* access, from which a
@@ -128,7 +128,7 @@ class Phase:
         self.num_loads = num_loads
         self.num_stores = num_stores
         #: Program-ordered ``(is_store, count)`` event runs — the input
-        #: to a controller's per-phase sequence flusher.
+        #: to a controller's phase ledger.
         self.event_seq = event_seq
         #: Per distinct line, in first-touch order:
         #: ``(block, loads, stores, first_is_store, last_pos,
@@ -404,13 +404,11 @@ def compile_plan(lowered, lease_time=None):
       step — it must upgrade (acquire a write epoch) under ACC;
     * subclassed op types always take the per-op path (unknown
       side effects), exactly as lowering never coalesces them;
-    * phases are capped at :data:`MAX_UNLEASED_PHASE_MEM_OPS` ops, and
+    * phases are capped at :data:`MAX_UNLEASED_PHASE_MEM_OPS` ops, or
       — when ``lease_time`` is given — at :data:`MAX_PHASE_MEM_OPS`
-      plus an estimated span of an eighth of the lease: the shorter
+      ops and an estimated span of an eighth of the lease: the shorter
       the window, the larger the fraction of a line's lease period
-      during which ACC's cover guard can say yes (:func:`phase_plan`
-      derives that variant from the structural one via
-      :func:`_slice_leased` instead of re-scanning);
+      during which ACC's cover guard can say yes;
     * candidate windows shorter than :data:`MIN_PHASE_MEM_OPS` mem ops
       are folded back into the surrounding fallback gap.
     """
@@ -534,116 +532,6 @@ def compile_plan(lowered, lease_time=None):
     return PhasePlan(tuple(entries), num_phases, phase_ops)
 
 
-def _slice_leased(base, lease_time):
-    """Derive the lease-capped plan variant from the structural one.
-
-    Eligibility is cap-independent, so the unleased plan's fallback
-    gaps transfer verbatim and each unleased phase — whose steps are
-    all proven eligible — is merely re-cut under the lease span cap.
-    Phases already inside both caps are shared between the variants
-    outright (no re-aggregation, no duplicate timeline caches).
-    """
-    span_cap = max(MIN_PHASE_MEM_OPS * 4, lease_time // 8)
-    entries = []
-    num_phases = 0
-    phase_ops = 0
-    fallback = []
-    current = []
-    current_span = 0
-    cur_mem_ops = 0
-    cur_compute = 0
-    cur_loads = 0
-    cur_stores = 0
-    cur_events = []
-    cur_info = {}
-    cur_order = []
-
-    def close_current():
-        nonlocal current, current_span, cur_mem_ops, cur_compute, \
-            cur_loads, cur_stores, cur_events, cur_info, cur_order, \
-            num_phases, phase_ops
-        if cur_mem_ops >= MIN_PHASE_MEM_OPS:
-            if fallback:
-                entries.append((None, tuple(fallback)))
-                del fallback[:]
-            phase = Phase(
-                tuple(current), cur_mem_ops, cur_compute, cur_loads,
-                cur_stores,
-                tuple((is_store, count)
-                      for is_store, count in cur_events),
-                tuple((block, record[0], record[1], record[2],
-                       record[3], record[4], record[5])
-                      for block, record in
-                      ((block, cur_info[block]) for block in cur_order)))
-            entries.append((phase, phase.steps))
-            num_phases += 1
-            phase_ops += cur_mem_ops
-        elif current:
-            fallback.extend(current)
-        current = []
-        current_span = 0
-        cur_mem_ops = 0
-        cur_compute = 0
-        cur_loads = 0
-        cur_stores = 0
-        cur_events = []
-        cur_info = {}
-        cur_order = []
-
-    for phase, steps in base.entries:
-        if phase is None:
-            fallback.extend(steps)
-            continue
-        if phase.mem_ops <= MAX_PHASE_MEM_OPS and \
-                2 * phase.mem_ops + phase.compute_cycles <= span_cap:
-            if fallback:
-                entries.append((None, tuple(fallback)))
-                del fallback[:]
-            entries.append((phase, steps))
-            num_phases += 1
-            phase_ops += phase.mem_ops
-            continue
-        for step in steps:
-            op, arg, count = step
-            if op is None:
-                if cur_mem_ops and current_span + arg > span_cap:
-                    close_current()
-                current.append(step)
-                cur_compute += arg
-                current_span += arg
-                continue
-            is_store = op.is_store
-            span = 2 * count
-            if cur_mem_ops and (
-                    cur_mem_ops + count > MAX_PHASE_MEM_OPS
-                    or current_span + span > span_cap):
-                close_current()
-            current.append(step)
-            cur_mem_ops += count
-            current_span += span
-            if is_store:
-                cur_stores += count
-            else:
-                cur_loads += count
-            if cur_events and cur_events[-1][0] == is_store:
-                cur_events[-1][1] += count
-            else:
-                cur_events.append([is_store, count])
-            record = cur_info.get(arg)
-            if record is None:
-                cur_info[arg] = record = [0, 0, is_store, 0,
-                                          cur_mem_ops - count,
-                                          cur_compute]
-                cur_order.append(arg)
-            record[1 if is_store else 0] += count
-            record[3] = cur_mem_ops
-        close_current()
-    close_current()
-    if fallback:
-        entries.append((None, tuple(fallback)))
-    return PhasePlan(tuple(entries), num_phases, phase_ops)
-
-
 def phase_plan(trace, issue_width, leased=True):
     """Return the memoised :class:`PhasePlan` of ``trace``.
 
@@ -651,28 +539,21 @@ def phase_plan(trace, issue_width, leased=True):
     trace's lease span cap (ACC's cover guard needs short windows),
     unleased plans use the large structural cap only (SHARED / SCRATCH /
     IDEAL controllers have nothing that expires, so longer windows just
-    amortise the per-phase machinery further).  The structural plan is
-    compiled from the lowered stream; the leased variant is sliced out
-    of it.  Plans are cached in the trace's ``__dict__`` keyed by
-    ``(issue_width, leased)`` — the same memo pattern as lowered forms,
-    so compiled phases live as long as the prepared workload and are
-    evicted together by
+    amortise the per-phase machinery further).  Both are compiled from
+    the lowered stream by :func:`compile_plan`; a trace without a lease
+    gets one plan for both.  Plans are cached in the trace's
+    ``__dict__`` keyed by ``(issue_width, lease_time)`` — the same memo
+    pattern as lowered forms, so compiled phases live as long as the
+    prepared workload and are evicted together by
     :func:`repro.workloads.lowering.invalidate_lowered`.
     """
     cache = trace.__dict__.get(_PLAN_ATTR)
     if cache is None:
         cache = trace.__dict__[_PLAN_ATTR] = {}
-    key = (issue_width, leased)
+    lease_time = getattr(trace, "lease_time", None) if leased else None
+    key = (issue_width, lease_time or None)
     plan = cache.get(key)
     if plan is None:
-        base = cache.get((issue_width, False))
-        if base is None:
-            base = compile_plan(lowered_trace(trace, issue_width))
-            cache[(issue_width, False)] = base
-        if leased:
-            lease_time = getattr(trace, "lease_time", None)
-            plan = _slice_leased(base, lease_time) if lease_time else base
-            cache[key] = plan
-        else:
-            plan = base
+        plan = cache[key] = compile_plan(lowered_trace(trace, issue_width),
+                                         lease_time)
     return plan

@@ -291,13 +291,13 @@ def compile_window_ledger(load_pairs, store_pairs, window):
     """Compile a window's whole-span bulk ledger program.
 
     The window analogue of
-    :func:`repro.common.stats.compile_phase_ledger`: exact (non-``_pj``)
-    amounts collapse to ``amount * occurrences`` over the *whole*
-    window, and each energy name gets a fold closure over its
+    :meth:`repro.common.stats.StatsRegistry.phase_ledger`: exact
+    (non-``_pj``) amounts collapse to ``amount * occurrences`` over the
+    *whole* window, and each energy name gets a fold closure over its
     program-ordered per-op amounts array (:func:`accumulate` keeps the
     serial rounding order).  The result binds to a registry via
     :meth:`repro.common.stats.StatsRegistry.window_flusher` and is
-    bit-identical to flushing every phase's sequence ledger in order —
+    bit-identical to charging every phase's ledger in order —
     callers may only use it for a *full-window* accept with no active
     ``PjTrace`` (partial prefixes and recordings fall back to the
     per-phase ledgers).

@@ -1,9 +1,10 @@
-"""EXPERIMENTS.md's "Headline claims" table quotes the committed tables.
+"""EXPERIMENTS.md's quoted numbers equal the committed tables.
 
-Every measured value in that table, and the range the Figure 6a section
-quotes, must equal what the committed full-size tables under
-``benchmarks/results/`` say, so a hand-copied number cannot drift from
-the regenerated one unnoticed.
+Every measured value in the "Headline claims" table, the range the
+Figure 6a section quotes and the "Ours" columns of Table 5 must equal
+what the committed full-size tables under ``benchmarks/results/`` say,
+so a hand-copied number cannot drift from the regenerated one
+unnoticed.
 """
 
 import pathlib
@@ -88,3 +89,26 @@ def test_figure6a_prose_quotes_the_small_wset_range():
     assert len(excess) == 3
     assert (int(quoted.group(1)), int(quoted.group(2))) == \
         (min(excess), max(excess))
+
+
+#: EXPERIMENTS.md Table 5 row -> the ``table5.txt`` column it quotes.
+TABLE5_ROWS = {"#FWD blocks": 1, "AXC cache energy saved": 2,
+               "AXC link energy saved": 3}
+
+#: EXPERIMENTS.md Table 5 "Ours" column -> the ``table5.txt`` row.
+TABLE5_COLUMNS = {"Ours FFT": "FFT", "Ours TRACK": "TRACK."}
+
+
+def test_table5_ours_columns_quote_table5():
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    section = text.split("## Table 5", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    header, quoted = rows[0], {row[0]: row for row in rows[2:]}
+    assert set(quoted) == set(TABLE5_ROWS)
+    measured = {row[0]: row for row in _table("table5.txt")}
+    for column, benchmark in TABLE5_COLUMNS.items():
+        index = header.index(column)
+        for label, table_column in TABLE5_ROWS.items():
+            assert quoted[label][index] == \
+                measured[benchmark][table_column], (column, label)

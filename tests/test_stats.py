@@ -1,6 +1,10 @@
 """Statistics registry (repro.common.stats)."""
 
+import random
+
 from repro.common.stats import StatsRegistry
+from repro.common.types import AccessType, MemOp
+from repro.workloads.phases import build_phase
 
 
 def test_add_and_get():
@@ -132,3 +136,93 @@ def test_clear():
     stats.add("a")
     stats.clear()
     assert stats.names() == []
+
+
+# -- phase ledger ---------------------------------------------------------
+
+#: One load hit's and one store hit's increments: exact counters, energy
+#: counters with non-dyadic amounts, a name charged twice per event and
+#: a name only stores charge.
+LOAD_PAIRS = [("l0x.accesses", 1), ("l0x.energy_pj", 0.7),
+              ("l0x.hits", 1), ("link.energy_pj", 0.3),
+              ("l0x.energy_pj", 0.05)]
+STORE_PAIRS = [("l0x.accesses", 1), ("l0x.energy_pj", 0.001),
+               ("l0x.hits", 1), ("link.energy_pj", 0.3),
+               ("l1x.wt_energy_pj", 0.13), ("link.flits", 1.5)]
+
+
+def _phase(runs):
+    """A phase of ``(is_store, count)`` runs over a few lines, with
+    compute between some of them."""
+    steps = []
+    for index, (is_store, count) in enumerate(runs):
+        kind = AccessType.STORE if is_store else AccessType.LOAD
+        op = MemOp(kind, 0x1000 + (index % 3) * 64)
+        steps.append((op, op.block, count))
+        if index % 2:
+            steps.append((None, 3, 0))
+    return build_phase(steps)
+
+
+def _phases():
+    rng = random.Random(7)
+    phases = [_phase([(False, 5)]), _phase([(True, 4)]),
+              # Equal op counts, opposite order: one program, two
+              # rounding sequences.
+              _phase([(False, 3), (True, 2)]),
+              _phase([(True, 2), (False, 3)])]
+    for _ in range(40):
+        phases.append(_phase([(rng.random() < 0.4, rng.randint(1, 9))
+                              for _ in range(rng.randint(1, 8))]))
+    return phases
+
+
+def _charge_both_ways(traced):
+    ledger_stats, per_op_stats = StatsRegistry(), StatsRegistry()
+    for registry in (ledger_stats, per_op_stats):
+        # Small running values: rounding then depends on add order.
+        registry.add("l0x.energy_pj", 0.1)
+        registry.add("link.energy_pj", 0.1)
+    traces = [registry.begin_pj_trace() if traced else None
+              for registry in (ledger_stats, per_op_stats)]
+    charge = ledger_stats.phase_ledger(LOAD_PAIRS, STORE_PAIRS)
+    flush_load = per_op_stats.flusher(LOAD_PAIRS)
+    flush_store = per_op_stats.flusher(STORE_PAIRS)
+    phases = _phases()
+    # Charging a phase twice reuses its memoised flush.
+    for phase in phases + phases[:3]:
+        charge(phase)
+        for is_store, count in phase.event_seq:
+            flush = flush_store if is_store else flush_load
+            for _ in range(count):
+                flush()
+    return ledger_stats, per_op_stats, traces
+
+
+def _assert_bit_identical(left, right):
+    left, right = left.snapshot(), right.snapshot()
+    assert sorted(left) == sorted(right)
+    for name in right:
+        assert repr(left[name]) == repr(right[name]), name
+
+
+def test_phase_ledger_bit_identical_to_per_op_flushers():
+    ledger_stats, per_op_stats, _ = _charge_both_ways(traced=False)
+    _assert_bit_identical(ledger_stats, per_op_stats)
+
+
+def test_phase_ledger_bit_identical_while_a_pj_trace_records():
+    ledger_stats, per_op_stats, traces = _charge_both_ways(traced=True)
+    _assert_bit_identical(ledger_stats, per_op_stats)
+    programs = [registry.end_pj_trace().program()
+                for registry in (ledger_stats, per_op_stats)]
+    assert traces[0].blocks and not traces[0].poisoned
+    assert dict(programs[0]) == dict(programs[1])
+    # Either recording replays to the same bits from any start.
+    replays = []
+    for program in programs:
+        registry = StatsRegistry()
+        registry.add("l0x.energy_pj", 0.1)
+        registry.replay_pj(program)
+        replays.append(registry)
+    _assert_bit_identical(*replays)

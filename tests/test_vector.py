@@ -4,7 +4,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.common.stats import StatsRegistry, compile_phase_ledger
+from repro.common.stats import StatsRegistry
 from repro.common.types import AccessType, ComputeOp, FunctionTrace, MemOp
 from repro.workloads import vector
 from repro.workloads.phases import build_phase, phase_plan, \
@@ -181,13 +181,12 @@ STORE_PAIRS = (("l0x.write_hits", 1), ("l0x.energy_pj", 1.1),
 
 
 def _per_phase_reference(window):
-    """Flush every phase's sequence ledger in order (the per-phase
-    rung's exact behaviour) and return the snapshot."""
+    """Charge every phase's ledger in order (the per-phase rung's
+    exact behaviour) and return the snapshot."""
     registry = StatsRegistry()
+    charge = registry.phase_ledger(LOAD_PAIRS, STORE_PAIRS)
     for phase in window.phases:
-        program = compile_phase_ledger(LOAD_PAIRS, STORE_PAIRS,
-                                       phase.num_loads, phase.num_stores)
-        registry.phase_flusher(phase.event_seq, program)()
+        charge(phase)
     return registry.snapshot()
 
 
@@ -227,10 +226,9 @@ def test_window_ledger_multi_amount_energy_counters():
     registry = StatsRegistry()
     registry.window_flusher(program)()
     reference = StatsRegistry()
+    charge = reference.phase_ledger(load_pairs, store_pairs)
     for phase in window.phases:
-        prog = compile_phase_ledger(load_pairs, store_pairs,
-                                    phase.num_loads, phase.num_stores)
-        reference.phase_flusher(phase.event_seq, prog)()
+        charge(phase)
     assert repr(registry.snapshot()["l0x.energy_pj"]) \
         == repr(reference.snapshot()["l0x.energy_pj"])
 
@@ -245,10 +243,9 @@ def test_window_ledger_starts_from_nonzero_running_value():
     registry.window_flusher(program)()
     reference = StatsRegistry()
     reference.add("l0x.energy_pj", 1234.5678901)
+    charge = reference.phase_ledger(LOAD_PAIRS, STORE_PAIRS)
     for phase in window.phases:
-        prog = compile_phase_ledger(LOAD_PAIRS, STORE_PAIRS,
-                                    phase.num_loads, phase.num_stores)
-        reference.phase_flusher(phase.event_seq, prog)()
+        charge(phase)
     assert repr(registry.snapshot()["l0x.energy_pj"]) \
         == repr(reference.snapshot()["l0x.energy_pj"])
 
