@@ -12,6 +12,7 @@ committed numbers (and the CI regression gate) live in
 import functools
 
 import perf_smoke
+from perf_smoke import Port
 
 from repro.accel import replay as replay_mod
 from repro.accel.core import AxcCore
@@ -62,7 +63,7 @@ def test_micro_core_run_lowered(benchmark):
     core = AxcCore(0, StatsRegistry())
     lowered_trace(trace, core.issue_width)  # lower once, outside the loop
 
-    benchmark(lambda: core.run(trace, 0, perf_smoke._flat_access, mlp=4))
+    benchmark(lambda: core.run(trace, 0, perf_smoke.FLAT_PORT, mlp=4))
 
 
 def test_micro_core_run_legacy(benchmark):
@@ -81,7 +82,7 @@ def test_micro_lowered_matches_legacy():
     core = AxcCore(0, StatsRegistry())
     legacy_end = perf_smoke.legacy_run(
         core, trace, 0, perf_smoke._flat_access, mlp=4)
-    lowered_end = core.run(trace, 0, perf_smoke._flat_access, mlp=4)
+    lowered_end = core.run(trace, 0, perf_smoke.FLAT_PORT, mlp=4)
     assert lowered_end == legacy_end
 
 
@@ -90,37 +91,33 @@ def _warm_run_setup():
     trace = perf_smoke.make_run_trace()
     core = AxcCore(0, StatsRegistry())
     l0x = perf_smoke.build_acc_l0x()
-    l0x.invocation_lease = lease = trace.lease_time
-
-    def access_run(op, count, now, horizon, interval):
-        return l0x.access_run(op, count, now, horizon, interval, lease)
-
-    core.run(trace, 0, l0x.access, mlp=4)  # install every line
-    return trace, core, l0x, access_run
+    l0x.invocation_lease = trace.lease_time
+    core.run(trace, 0, Port(l0x), mlp=4)  # install every line
+    return trace, core, l0x
 
 
 def test_micro_acc_run_per_op(benchmark):
     """Ops/sec expanding every access-run op through the L0X protocol."""
-    trace, core, l0x, _ = _warm_run_setup()
+    trace, core, l0x = _warm_run_setup()
+    port = Port(l0x)
 
-    benchmark(lambda: core.run(trace, 0, l0x.access, mlp=4))
+    benchmark(lambda: core.run(trace, 0, port, mlp=4))
 
 
 def test_micro_acc_run_coalesced(benchmark):
     """Ops/sec with ``access_run`` serving each steady-state run in one
     protocol step (the run-coalescing fast path)."""
-    trace, core, l0x, access_run = _warm_run_setup()
+    trace, core, l0x = _warm_run_setup()
+    port = Port(l0x, "access_run")
 
-    benchmark(lambda: core.run(trace, 0, l0x.access, mlp=4,
-                               access_run=access_run))
+    benchmark(lambda: core.run(trace, 0, port, mlp=4))
 
 
 def test_micro_run_coalesced_matches_per_op():
     """Semantics gate: both protocol paths end at the same cycle."""
-    trace, core, l0x, access_run = _warm_run_setup()
-    per_op_end = core.run(trace, 0, l0x.access, mlp=4)
-    coalesced_end = core.run(trace, 0, l0x.access, mlp=4,
-                             access_run=access_run)
+    trace, core, l0x = _warm_run_setup()
+    per_op_end = core.run(trace, 0, Port(l0x), mlp=4)
+    coalesced_end = core.run(trace, 0, Port(l0x, "access_run"), mlp=4)
     assert coalesced_end == per_op_end
 
 
@@ -128,23 +125,20 @@ def test_micro_acc_phase_steady(benchmark):
     """Ops/sec with ``phase_quote`` serving whole lease-stable windows
     in one protocol step (the steady-state phase engine — top rung of
     the fallback ladder above the coalesced-run path)."""
-    trace, core, l0x, access_run = _warm_run_setup()
+    trace, core, l0x = _warm_run_setup()
+    port = Port(l0x, "access_run", "phase_quote")
 
-    benchmark(lambda: core.run(trace, 0, l0x.access, mlp=4,
-                               access_run=access_run,
-                               phase_quote=l0x.phase_quote))
+    benchmark(lambda: core.run(trace, 0, port, mlp=4))
 
 
 def test_micro_phase_matches_coalesced():
     """Semantics gate: the phase path and the coalesced-run path end at
     the same cycle (bit-identity across all counters is the
     differential oracle's job — ``tests/test_oracle.py``)."""
-    trace, core, l0x, access_run = _warm_run_setup()
-    coalesced_end = core.run(trace, 0, l0x.access, mlp=4,
-                             access_run=access_run)
-    phased_end = core.run(trace, 0, l0x.access, mlp=4,
-                          access_run=access_run,
-                          phase_quote=l0x.phase_quote)
+    trace, core, l0x = _warm_run_setup()
+    coalesced_end = core.run(trace, 0, Port(l0x, "access_run"), mlp=4)
+    phased_end = core.run(trace, 0, Port(l0x, "access_run", "phase_quote"),
+                          mlp=4)
     assert phased_end == coalesced_end
 
 
@@ -158,49 +152,39 @@ def _warm_window_setup():
     trace = perf_smoke.make_run_trace(num_runs=2048)
     core = AxcCore(0, StatsRegistry())
     l0x = perf_smoke.build_acc_l0x()
-    l0x.invocation_lease = lease = trace.lease_time
-
-    def access_run(op, count, now, horizon, interval):
-        return l0x.access_run(op, count, now, horizon, interval, lease)
-
-    core.run(trace, 0, l0x.access, mlp=4)  # install every line
-    return trace, core, l0x, access_run
+    l0x.invocation_lease = trace.lease_time
+    core.run(trace, 0, Port(l0x), mlp=4)  # install every line
+    return trace, core, l0x
 
 
 def test_micro_acc_windows_phased(benchmark):
     """Ops/sec serving the long window one ``phase_quote`` at a time
     (comparison point for the vector rung's batch win)."""
-    trace, core, l0x, access_run = _warm_window_setup()
+    trace, core, l0x = _warm_window_setup()
+    port = Port(l0x, "access_run", "phase_quote")
 
-    benchmark(lambda: core.run(trace, 0, l0x.access, mlp=4,
-                               access_run=access_run,
-                               phase_quote=l0x.phase_quote))
+    benchmark(lambda: core.run(trace, 0, port, mlp=4))
 
 
 def test_micro_acc_windows_vector(benchmark):
     """Ops/sec with ``phase_quote_batch`` guarding and accounting the
     whole multi-phase window in one vectorised pass (the fifth rung of
     the fallback ladder)."""
-    trace, core, l0x, access_run = _warm_window_setup()
+    trace, core, l0x = _warm_window_setup()
+    port = Port(l0x, "access_run", "phase_quote", "phase_quote_batch")
 
-    benchmark(lambda: core.run(
-        trace, 0, l0x.access, mlp=4, access_run=access_run,
-        phase_quote=l0x.phase_quote,
-        phase_quote_batch=l0x.phase_quote_batch))
+    benchmark(lambda: core.run(trace, 0, port, mlp=4))
 
 
 def test_micro_vector_matches_phased():
     """Semantics gate: the batched window path and the per-phase path
     end at the same cycle (counter bit-identity is covered by
     ``tests/test_oracle.py``)."""
-    trace, core, l0x, access_run = _warm_window_setup()
-    phased_end = core.run(trace, 0, l0x.access, mlp=4,
-                          access_run=access_run,
-                          phase_quote=l0x.phase_quote)
-    vector_end = core.run(trace, 0, l0x.access, mlp=4,
-                          access_run=access_run,
-                          phase_quote=l0x.phase_quote,
-                          phase_quote_batch=l0x.phase_quote_batch)
+    trace, core, l0x = _warm_window_setup()
+    phased_end = core.run(trace, 0, Port(l0x, "access_run", "phase_quote"),
+                          mlp=4)
+    vector_end = core.run(trace, 0, Port(l0x, "access_run", "phase_quote",
+                                         "phase_quote_batch"), mlp=4)
     assert vector_end == phased_end
 
 

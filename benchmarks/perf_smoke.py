@@ -14,10 +14,10 @@ ways:
 
 It also measures the run-coalescing fast path the same way: a
 run-heavy synthetic invocation driven through a real ACC L0X/L1X
-protocol stack once op-by-op and once with the controller's
-``access_run`` entry point wired in.  One rung further up, the vector
+protocol stack once through a port offering ``access`` alone and once
+through one that also offers the controller's ``access_run``.  One rung further up, the vector
 pair drives the same stack once per-phase (``phase_quote``) and once
-with the batched-window entry point (``phase_quote_batch``) wired in.
+with the batched-window entry point (``phase_quote_batch``) offered too.
 Above those sits the replay pair: an iterated Figure-6 FFT workload
 through the full FUSION system with ``REPLAY_INVOCATIONS`` off
 (steady phases) and on (guarded invocation replay), timed interleaved
@@ -43,6 +43,7 @@ import math
 import pathlib
 import sys
 import time
+from types import SimpleNamespace
 
 from repro.accel.core import AxcCore
 from repro.common.stats import StatsRegistry
@@ -101,6 +102,18 @@ def build_acc_l0x():
     mem.tile_agent = l1x
     return AccL0XController(0, config, l1x, Link("axc_l1x", 0.4, stats),
                             Link("fwd", 0.1, stats), stats)
+
+
+class Port:
+    """A memory port offering exactly the named entry points of
+    ``controller`` besides ``access``, so each gate measures the rung
+    it names and no other."""
+
+    def __init__(self, controller, *entry_points):
+        self.issue_interval = controller.issue_interval
+        self.leased_phases = controller.leased_phases
+        for name in ("access",) + entry_points:
+            setattr(self, name, getattr(controller, name))
 
 
 def legacy_iter_run(core, trace, start_time, access_fn, mlp,
@@ -170,6 +183,10 @@ def _flat_access(op, now):
     return 2
 
 
+#: The flat-latency memory port the lowered hot path is timed against.
+FLAT_PORT = SimpleNamespace(access=_flat_access)
+
+
 def _best_seconds(fn, repeats=REPEATS):
     best = float("inf")
     for _ in range(repeats):
@@ -186,7 +203,7 @@ def run_measurement():
     core = AxcCore(0, StatsRegistry())
 
     legacy_end = legacy_run(core, trace, 0, _flat_access, mlp=4)
-    lowered_end = core.run(trace, 0, _flat_access, mlp=4)
+    lowered_end = core.run(trace, 0, FLAT_PORT, mlp=4)
     if legacy_end != lowered_end:
         raise AssertionError(
             "semantics drift: legacy end {} != lowered end {}".format(
@@ -195,7 +212,7 @@ def run_measurement():
     legacy_s = _best_seconds(
         lambda: legacy_run(core, trace, 0, _flat_access, mlp=4))
     lowered_s = _best_seconds(
-        lambda: core.run(trace, 0, _flat_access, mlp=4))
+        lambda: core.run(trace, 0, FLAT_PORT, mlp=4))
     legacy_ops = total_ops / legacy_s
     lowered_ops = total_ops / lowered_s
     return {
@@ -212,8 +229,8 @@ def run_coalesce_measurement():
 
     The same run-heavy trace is driven through a warm ACC L0X twice per
     repeat: once expanding every op through ``AccL0XController.access``
-    and once with ``access_run`` wired into the core, which serves each
-    steady-state run in one protocol step.  Both paths must end at the
+    and once through a port that also offers ``access_run``, which
+    serves each steady-state run in one protocol step.  Both paths must end at the
     same cycle — the run-coalescing layer's bit-identity claim, pinned
     exhaustively by ``tests/test_golden_full.py`` and
     ``tests/test_oracle.py``.
@@ -222,28 +239,23 @@ def run_coalesce_measurement():
     total_mem_ops = sum(1 for op in trace.ops if isinstance(op, MemOp))
     core = AxcCore(0, StatsRegistry())
     l0x = build_acc_l0x()
-    lease = trace.lease_time
-    l0x.invocation_lease = lease
-
-    def access_run(op, count, now, horizon, interval):
-        return l0x.access_run(op, count, now, horizon, interval, lease)
+    l0x.invocation_lease = trace.lease_time
 
     # Warm the L0X (install every line) so both timed paths run in the
     # steady state the fast path targets; then check semantics.
-    core.run(trace, 0, l0x.access, mlp=4)
-    per_op_end = core.run(trace, 0, l0x.access, mlp=4)
-    coalesced_end = core.run(trace, 0, l0x.access, mlp=4,
-                             access_run=access_run)
+    per_op = Port(l0x)
+    coalesced = Port(l0x, "access_run")
+    core.run(trace, 0, per_op, mlp=4)
+    per_op_end = core.run(trace, 0, per_op, mlp=4)
+    coalesced_end = core.run(trace, 0, coalesced, mlp=4)
     if per_op_end != coalesced_end:
         raise AssertionError(
             "semantics drift: per-op end {} != coalesced end {}".format(
                 per_op_end, coalesced_end))
 
-    per_op_s = _best_seconds(
-        lambda: core.run(trace, 0, l0x.access, mlp=4))
+    per_op_s = _best_seconds(lambda: core.run(trace, 0, per_op, mlp=4))
     coalesced_s = _best_seconds(
-        lambda: core.run(trace, 0, l0x.access, mlp=4,
-                         access_run=access_run))
+        lambda: core.run(trace, 0, coalesced, mlp=4))
     per_op_ops = total_mem_ops / per_op_s
     coalesced_ops = total_mem_ops / coalesced_s
     return {
@@ -261,7 +273,7 @@ def run_phase_measurement():
 
     The next rung of the fallback ladder above run coalescing: the same
     warm run-heavy trace, once with ``access_run`` alone and once with
-    ``phase_quote`` also wired in, so lease-stable windows collapse to
+    ``phase_quote`` also offered, so lease-stable windows collapse to
     one guard check, one ledger flush and one closed-form timeline
     application.  Both paths must end at the same cycle — bit-identity
     across every counter is pinned by
@@ -271,30 +283,21 @@ def run_phase_measurement():
     total_mem_ops = sum(1 for op in trace.ops if isinstance(op, MemOp))
     core = AxcCore(0, StatsRegistry())
     l0x = build_acc_l0x()
-    lease = trace.lease_time
-    l0x.invocation_lease = lease
+    l0x.invocation_lease = trace.lease_time
 
-    def access_run(op, count, now, horizon, interval):
-        return l0x.access_run(op, count, now, horizon, interval, lease)
-
-    core.run(trace, 0, l0x.access, mlp=4)  # install every line
-    coalesced_end = core.run(trace, 0, l0x.access, mlp=4,
-                             access_run=access_run)
-    phased_end = core.run(trace, 0, l0x.access, mlp=4,
-                          access_run=access_run,
-                          phase_quote=l0x.phase_quote)
+    coalesced = Port(l0x, "access_run")
+    phased = Port(l0x, "access_run", "phase_quote")
+    core.run(trace, 0, Port(l0x), mlp=4)  # install every line
+    coalesced_end = core.run(trace, 0, coalesced, mlp=4)
+    phased_end = core.run(trace, 0, phased, mlp=4)
     if phased_end != coalesced_end:
         raise AssertionError(
             "semantics drift: coalesced end {} != phased end {}".format(
                 coalesced_end, phased_end))
 
     coalesced_s = _best_seconds(
-        lambda: core.run(trace, 0, l0x.access, mlp=4,
-                         access_run=access_run))
-    phased_s = _best_seconds(
-        lambda: core.run(trace, 0, l0x.access, mlp=4,
-                         access_run=access_run,
-                         phase_quote=l0x.phase_quote))
+        lambda: core.run(trace, 0, coalesced, mlp=4))
+    phased_s = _best_seconds(lambda: core.run(trace, 0, phased, mlp=4))
     coalesced_ops = total_mem_ops / coalesced_s
     phased_ops = total_mem_ops / phased_s
     return {
@@ -312,7 +315,7 @@ def run_vector_measurement():
     The fifth rung of the fallback ladder: the run-heavy trace (grown
     to 2048 runs so one window covers a hundred-plus phases), once with
     ``phase_quote`` alone — one guard walk, ledger flush and timeline
-    per phase — and once with ``phase_quote_batch`` also wired in, so
+    per phase — and once with ``phase_quote_batch`` also offered, so
     the whole window's guard collapses to one vectorised lease compare
     and its ledger to one bulk apply.  Both paths must end at the same
     cycle — bit-identity across every counter is pinned by
@@ -329,34 +332,20 @@ def run_vector_measurement():
     total_mem_ops = sum(1 for op in trace.ops if isinstance(op, MemOp))
     core = AxcCore(0, StatsRegistry())
     l0x = build_acc_l0x()
-    lease = trace.lease_time
-    l0x.invocation_lease = lease
+    l0x.invocation_lease = trace.lease_time
 
-    def access_run(op, count, now, horizon, interval):
-        return l0x.access_run(op, count, now, horizon, interval, lease)
-
-    core.run(trace, 0, l0x.access, mlp=4)  # install every line
-    phased_end = core.run(trace, 0, l0x.access, mlp=4,
-                          access_run=access_run,
-                          phase_quote=l0x.phase_quote)
-    vector_end = core.run(trace, 0, l0x.access, mlp=4,
-                          access_run=access_run,
-                          phase_quote=l0x.phase_quote,
-                          phase_quote_batch=l0x.phase_quote_batch)
+    phased = Port(l0x, "access_run", "phase_quote")
+    vector = Port(l0x, "access_run", "phase_quote", "phase_quote_batch")
+    core.run(trace, 0, Port(l0x), mlp=4)  # install every line
+    phased_end = core.run(trace, 0, phased, mlp=4)
+    vector_end = core.run(trace, 0, vector, mlp=4)
     if vector_end != phased_end:
         raise AssertionError(
             "semantics drift: phased end {} != vector end {}".format(
                 phased_end, vector_end))
 
-    phased_s = _best_seconds(
-        lambda: core.run(trace, 0, l0x.access, mlp=4,
-                         access_run=access_run,
-                         phase_quote=l0x.phase_quote))
-    vector_s = _best_seconds(
-        lambda: core.run(trace, 0, l0x.access, mlp=4,
-                         access_run=access_run,
-                         phase_quote=l0x.phase_quote,
-                         phase_quote_batch=l0x.phase_quote_batch))
+    phased_s = _best_seconds(lambda: core.run(trace, 0, phased, mlp=4))
+    vector_s = _best_seconds(lambda: core.run(trace, 0, vector, mlp=4))
     phased_ops = total_mem_ops / phased_s
     vector_ops = total_mem_ops / vector_s
     return {

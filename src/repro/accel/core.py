@@ -11,8 +11,21 @@ behaviour at trace granularity:
 * memory operations overlap up to the function's memory-level
   parallelism (MLP), with MSHR-style merging of accesses to a block
   whose fill is already outstanding;
-* the memory system is a caller-provided ``access_fn(op, now) ->
-  latency`` closure, so one core model serves every system design.
+* the memory system is one *port* object passed to :meth:`AxcCore.run`,
+  so one core model serves every system design.
+
+The port is the controller itself: the FUSION L0X, the SHARED L1X, a
+SCRATCH scratchpad model or IDEAL's
+:class:`~repro.coherence.strategy.FreeMemory`.  It offers ``access(op,
+now) -> latency`` and any of the fast entry points ``access_run``,
+``phase_quote`` and ``phase_quote_batch`` (below, and
+``docs/simulator.md`` §9.1).  The core reads each once per call; a
+missing one means the port does not offer that rung.  Two class
+attributes complete a port: ``issue_interval``, the cycles between
+memory-op issues (1 when absent; 1.5 when every op crosses the SHARED
+tile switch), and ``leased_phases``, which compiled plan variant the
+phase rungs serve (ACC's lease-capped windows, or the long structural
+windows an expiry-free controller absorbs whole).
 
 Hot path: the core never walks the raw heterogeneous ``trace.ops`` list.
 :mod:`repro.workloads.lowering` compiles each trace once into a flat
@@ -25,22 +38,22 @@ per-op type dispatch.  The two paths are exercised for equivalence by
 ``tests/test_lowering.py`` and both are pinned bit-identical to the
 legacy interpreter by ``tests/test_golden_full.py``.
 
-Run coalescing: when the caller supplies an ``access_run`` entry point
-(the protocol controllers' run-coalescing fast path), a whole run is
-served by *one* protocol call returning the constant per-op latency;
+Run coalescing: when the port offers ``access_run(op, count, now,
+horizon, interval)``, a whole run is served by *one* protocol call
+returning the constant per-op latency (``None`` declines; ``horizon``
+is ``max(now, max(outstanding))``, an upper bound for lease guards);
 the core then replays the issue timeline locally (heap bookkeeping
 only — no per-op protocol traversal, no per-op stats) which is exact
 because every op in the run has the same latency and the same block.
-``access_run`` returns ``None`` to decline (guard failed), in which
-case the run is expanded op-by-op through ``access_fn`` exactly as
-before.  The module-level ``COALESCE_RUNS`` switch (read at call time)
+A declined run issues one op through ``access`` and offers the rest
+again.  The module-level ``COALESCE_RUNS`` switch (read at call time)
 force-disables the fast path — the differential oracle
 (``tests/test_oracle.py``) flips it to prove bit-identity.
 
 Steady-state phases: one level above runs, the phase compiler
 (:mod:`repro.workloads.phases`) partitions the stream into windows that
-are steady-state *candidates*.  When the caller supplies a
-``phase_quote`` hook, each candidate window is offered to the protocol
+are steady-state *candidates*.  When the port offers
+``phase_quote``, each candidate window is offered to the protocol
 controller as a whole: a non-``None`` quote means every op of the phase
 was served and accounted in one protocol step (bulk phase ledger,
 exact LRU advance), and the core applies a
@@ -51,7 +64,10 @@ and serves every later entry with the same signature.  A declined quote
 drops the window to the per-run coalesced path, and below that the
 per-op path: the fallback ladder of ``docs/simulator.md`` §10.
 ``STEADY_PHASES`` (read at call time like ``COALESCE_RUNS``) toggles
-the path for equivalence testing.
+the path for equivalence testing.  ``phase_quote_batch`` sits one rung
+higher again (``VECTOR_PHASES``, numpy only): the port guards and
+accounts a whole window of consecutive phases in one pass, and the
+remaining entries of a partly accepted window drop down the ladder.
 
 Energy: Aladdin-style activity counts are charged per compute chunk.
 """
@@ -62,7 +78,7 @@ import warnings
 from ..energy.accel_energy import INVOCATION_OVERHEAD_PJ, compute_energy_pj
 from ..workloads import vector as vector_mod
 from ..workloads.lowering import lowered_trace
-from ..workloads.phases import phase_plan
+from ..workloads.phases import phase_plan, replay_steps
 from ..workloads.vector import vector_plan
 
 #: Global enable for the run-coalescing fast path; tests flip this to
@@ -111,90 +127,47 @@ class AxcCore:
         self._add_mlp_stall = self._core_stats.counter("mlp_stall_cycles")
         self._add_mshr_merge = self._core_stats.counter("mshr_merges")
 
-    def run(self, trace, start_time, access_fn, mlp, issue_interval=1,
-            charge_invocation=True, access_run=None, phase_quote=None,
-            leased_phases=True, phase_quote_batch=None):
+    def run(self, trace, start_time, port, mlp, charge_invocation=True):
         """Execute one invocation to completion; returns the end time.
 
         Args:
             trace: the :class:`FunctionTrace` to execute.
             start_time: tile clock at invocation start.
-            access_fn: ``(MemOp, now) -> latency`` memory-system closure.
+            port: the memory system — one controller offering ``access``
+                and any of ``access_run``, ``phase_quote`` and
+                ``phase_quote_batch`` (see the module docstring).
             mlp: maximum outstanding memory operations.
-            issue_interval: cycles between memory-op issues — 1 for a
-                local store (scratchpad/L0X), 2 when every op crosses a
-                shared switch whose request and response flits serialise
-                on the same link (the SHARED design).
             charge_invocation: charge the fixed per-invocation
                 control/sequencing energy.  SCRATCH passes False for the
                 continuation windows of one invocation — the datapath
                 stays configured across DMA windows.
-            access_run: optional ``(op, count, now, horizon,
-                issue_interval) -> latency | None`` run-coalescing entry
-                point, tried on every access run of length >= 2.
-                Returning the (constant) per-op latency means all
-                ``count`` remaining ops were served — counters flushed,
-                state updated — in one protocol step, and the core
-                replays the timeline locally.  Returning ``None``
-                declines (guard failed): the core expands one op
-                through ``access_fn`` and retries with the remainder,
-                so a run whose first op installs the line still
-                coalesces its tail.  ``horizon`` is
-                ``max(now, max(outstanding))`` —
-                an upper-bound anchor for the controller's lease-span
-                guard (no per-op time inside the run can exceed
-                ``horizon + count * (latency + issue_interval)``).
-            phase_quote: optional ``(phase, now, horizon,
-                issue_interval) -> (load_lat, store_lat) | None``
-                steady-state phase entry point, tried on every compiled
-                phase of the trace's :class:`~repro.workloads.phases.
-                PhasePlan`.  A non-``None`` quote means the controller
-                served and accounted *every* op of the phase (bulk
-                ledger flush, LRU advance, dirty marks) at the two
-                constant latencies returned; the core then applies the
-                phase's timeline, cached per relative entry state, in
-                O(1) (a cache miss replays once).  ``None`` declines:
-                the window falls back to the per-run coalesced path.
-            leased_phases: which compiled plan variant to interpret —
-                ``True`` for lease-capped windows (ACC's cover guard
-                wants short phases), ``False`` for the long structural
-                windows an expiry-free controller can absorb whole.
-            phase_quote_batch: optional ``(window, now, horizon,
-                issue_interval) -> (accepted, load_lat, store_lat) |
-                None`` vectorised entry point, tried on every
-                :class:`~repro.workloads.vector.VectorWindow` of the
-                plan (a maximal run of consecutive phases).  The
-                controller evaluates the whole window's guard in one
-                vectorised pass and serves/accounts the *accepted
-                prefix* of its phases in bulk; the core then applies
-                the accepted timelines — in one closed-form array
-                reduction when the stall-free regime holds, else one
-                cached timeline per phase — and the remaining entries
-                drop down the ladder unchanged.  ``None`` (or an empty
-                prefix) declines the window to the per-phase path.
-                Only consulted when ``VECTOR_PHASES`` is on and numpy
-                is importable.
         """
         mlp = max(1, int(mlp))
         lowered = lowered_trace(trace, self.issue_width)
         outstanding = []            # heap of completion times
         fill_time_of = {}           # block -> outstanding completion
-        run_fn = access_run if COALESCE_RUNS else None
+        access = port.access
+        interval = getattr(port, "issue_interval", 1)
+        access_run = getattr(port, "access_run", None) \
+            if COALESCE_RUNS else None
+        phase_quote = getattr(port, "phase_quote", None) \
+            if STEADY_PHASES else None
         plan = None
-        if phase_quote is not None and STEADY_PHASES:
-            plan = phase_plan(trace, self.issue_width, leased_phases)
+        if phase_quote is not None:
+            plan = phase_plan(trace, self.issue_width, port.leased_phases)
             if not plan.num_phases:
                 plan = None
         vplan = None
-        if plan is not None and phase_quote_batch is not None \
+        quote_batch = getattr(port, "phase_quote_batch", None)
+        if plan is not None and quote_batch is not None \
                 and VECTOR_PHASES and _vector_available():
-            vplan = vector_plan(trace, self.issue_width, leased_phases)
+            vplan = vector_plan(trace, self.issue_width, port.leased_phases)
             if vplan is not None and not vplan.windows:
                 vplan = None
         if plan is None:
             now = self._interpret(
                 lowered.steps, start_time, outstanding, fill_time_of,
-                access_fn, run_fn, mlp, issue_interval)
+                access, access_run, mlp, interval)
         else:
             now = start_time
             entries = plan.entries
@@ -208,9 +181,8 @@ class AxcCore:
                         window = window_at.get(index)
                         if window is not None:
                             accepted, now = self._run_window(
-                                window, phase_quote_batch, now,
-                                outstanding, fill_time_of, mlp,
-                                issue_interval)
+                                window, quote_batch, now, outstanding,
+                                fill_time_of, mlp, interval)
                             if accepted:
                                 # The accepted prefix is served and
                                 # applied; the remaining entries of the
@@ -218,24 +190,18 @@ class AxcCore:
                                 # down the per-phase ladder unchanged.
                                 index += accepted
                                 continue
-                    horizon = now
-                    if outstanding:
-                        peak = max(outstanding)
-                        if peak > horizon:
-                            horizon = peak
-                    quoted = phase_quote(phase, now, horizon,
-                                         issue_interval)
+                    quoted = phase_quote(phase, now,
+                                         max([now, *outstanding]), interval)
                     if quoted is not None:
                         load_lat, store_lat = quoted
                         now = self._apply_phase_timeline(
                             phase, load_lat, store_lat, now,
-                            outstanding, fill_time_of, mlp,
-                            issue_interval)
+                            outstanding, fill_time_of, mlp, interval)
                         index += 1
                         continue
                 now = self._interpret(
-                    steps, now, outstanding, fill_time_of, access_fn,
-                    run_fn, mlp, issue_interval)
+                    steps, now, outstanding, fill_time_of, access,
+                    access_run, mlp, interval)
                 index += 1
         if outstanding:
             now = max(now, max(outstanding))
@@ -307,12 +273,7 @@ class AxcCore:
         the final clock.  Otherwise each accepted phase applies its
         cached timeline in order, exactly as the per-phase rung would.
         """
-        horizon = now
-        if outstanding:
-            peak = max(outstanding)
-            if peak > horizon:
-                horizon = peak
-        quoted = batch_fn(window, now, horizon, interval)
+        quoted = batch_fn(window, now, max([now, *outstanding]), interval)
         if quoted is None:
             return 0, now
         accepted, load_lat, store_lat = quoted
@@ -345,10 +306,19 @@ class AxcCore:
                     fill_time_of, mlp, interval)
         return accepted, now
 
-    def _interpret(self, steps, now, outstanding, fill_time_of,
-                   access_fn, run_fn, mlp, issue_interval):
+    def _interpret(self, steps, now, outstanding, fill_time_of, access,
+                   access_run, mlp, interval):
         """Interpret a window of lowered steps (per-op + coalesced-run
-        paths), mutating the timeline state in place; returns ``now``."""
+        paths), mutating the timeline state in place; returns ``now``.
+
+        While two or more ops of a run remain, the run is offered to
+        ``access_run``; a decline issues ONE op (usually the miss or
+        upgrade that makes the rest steady state) and offers the rest
+        again, and an accept replays the remaining ops' issue timeline
+        with :func:`~repro.workloads.phases.replay_steps`.  Each op is
+        served by exactly one path, so any accept/decline pattern is
+        bit-identical to the pure per-op interpreter.
+        """
         heappush = heapq.heappush
         heappop = heapq.heappop
         pending_fill = fill_time_of.get
@@ -358,7 +328,19 @@ class AxcCore:
             if op is None:          # fused compute chunk
                 now += arg
                 continue
-            if count == 1:
+            while count:
+                if count > 1 and access_run is not None:
+                    latency = access_run(op, count, now,
+                                         max([now, *outstanding]), interval)
+                    if latency is not None:
+                        now, stall, merges = replay_steps(
+                            ((op, arg, count),), latency, latency, now,
+                            outstanding, fill_time_of, mlp, interval)
+                        if stall:
+                            add_mlp_stall(stall)
+                        if merges:
+                            add_mshr_merge(merges)
+                        break
                 # Retire fills that have arrived.
                 while outstanding and outstanding[0] <= now:
                     heappop(outstanding)
@@ -368,7 +350,7 @@ class AxcCore:
                     if earliest > now:
                         add_mlp_stall(earliest - now)
                         now = earliest
-                latency = access_fn(op, now)
+                latency = access(op, now)
                 completion = now + latency
                 # MSHR merge: an access cannot complete before an
                 # already-outstanding fill of the same block.
@@ -378,79 +360,12 @@ class AxcCore:
                     add_mshr_merge()
                 fill_time_of[arg] = completion
                 heappush(outstanding, completion)
-                now += issue_interval  # issue slot(s)
-                continue
-            # Access run of length >= 2: serve as much of it as possible
-            # through the coalesced fast path.  A declined attempt
-            # expands ONE op through ``access_fn`` and retries with the
-            # remainder — a run usually declines only because its first
-            # op must miss (install the line) or upgrade (acquire a
-            # write epoch); after that op the run is steady state and
-            # the rest coalesces.  Each op is served by exactly one
-            # path, so the expansion is bit-identical to the pure
-            # per-op interpreter whatever the accept/decline pattern.
-            remaining = count
-            while remaining:
-                latency = None
-                if remaining > 1 and run_fn is not None:
-                    horizon = now
-                    if outstanding:
-                        peak = max(outstanding)
-                        if peak > horizon:
-                            horizon = peak
-                    latency = run_fn(op, remaining, now, horizon,
-                                     issue_interval)
-                if latency is not None:
-                    # The protocol served (and accounted) the remaining
-                    # ops at constant per-op latency; replay the issue
-                    # timeline with heap bookkeeping only.
-                    stall = 0
-                    merges = 0
-                    for _ in range(remaining):
-                        while outstanding and outstanding[0] <= now:
-                            heappop(outstanding)
-                        if len(outstanding) >= mlp:
-                            earliest = heappop(outstanding)
-                            if earliest > now:
-                                stall += earliest - now
-                                now = earliest
-                        completion = now + latency
-                        pending = pending_fill(arg)
-                        if pending is not None and pending > completion:
-                            completion = pending
-                            merges += 1
-                        fill_time_of[arg] = completion
-                        heappush(outstanding, completion)
-                        now += issue_interval
-                    if stall:
-                        add_mlp_stall(stall)
-                    if merges:
-                        add_mshr_merge(merges)
-                    break
-                # Expand one op (ops in a run are interchangeable —
-                # same kind, same line — so replaying the first op
-                # preserves per-op semantics exactly).
-                while outstanding and outstanding[0] <= now:
-                    heappop(outstanding)
-                if len(outstanding) >= mlp:
-                    earliest = heappop(outstanding)
-                    if earliest > now:
-                        add_mlp_stall(earliest - now)
-                        now = earliest
-                latency = access_fn(op, now)
-                completion = now + latency
-                pending = pending_fill(arg)
-                if pending is not None and pending > completion:
-                    completion = pending
-                    add_mshr_merge()
-                fill_time_of[arg] = completion
-                heappush(outstanding, completion)
-                now += issue_interval
-                remaining -= 1
+                now += interval  # issue slot(s)
+                count -= 1
         return now
 
-    def iter_run(self, trace, start_time, access_fn, mlp,
-                 issue_interval=1, charge_invocation=True):
+    def iter_run(self, trace, start_time, port, mlp,
+                 charge_invocation=True):
         """Generator form of :meth:`run`: yields the local clock after
         every memory-op issue, so a scheduler can interleave several
         invocations on one tile (pipelined execution).  The generator's
@@ -459,10 +374,13 @@ class AxcCore:
         Access runs are always expanded op-by-op here: between yields
         another invocation may mutate shared protocol state (evict a
         line, expire a lease), so no run guard evaluated at the start of
-        a run could remain valid across its span.
+        a run could remain valid across its span, and only the port's
+        ``access`` and ``issue_interval`` are used.
         """
         mlp = max(1, int(mlp))
         lowered = lowered_trace(trace, self.issue_width)
+        access = port.access
+        interval = getattr(port, "issue_interval", 1)
         now = start_time
         outstanding = []
         fill_time_of = {}
@@ -483,7 +401,7 @@ class AxcCore:
                     if earliest > now:
                         add_mlp_stall(earliest - now)
                         now = earliest
-                latency = access_fn(op, now)
+                latency = access(op, now)
                 completion = now + latency
                 pending = pending_fill(arg)
                 if pending is not None and pending > completion:
@@ -491,7 +409,7 @@ class AxcCore:
                     add_mshr_merge()
                 fill_time_of[arg] = completion
                 heappush(outstanding, completion)
-                now += issue_interval
+                now += interval
                 yield now
         if outstanding:
             now = max(now, max(outstanding))

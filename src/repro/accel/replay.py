@@ -44,7 +44,6 @@ Gate with the ``REPLAY_INVOCATIONS`` module flag, like
 
 from ..common.types import trace_fingerprint
 from ..mem.cache import CacheLine
-from ..workloads.lowering import content_source
 
 #: Master toggle for the invocation replay rung; the differential
 #: oracle (``tests/test_oracle.py``) flips the module attribute.
@@ -95,27 +94,17 @@ class Ineligible(Exception):
 #: Content fingerprint -> small interned id.  Kernels record a *fresh*
 #: FunctionTrace object per iteration, so identity keying would never
 #: hit; the fingerprint hashes the op stream once per distinct content
-#: (equal traces of a prepared workload share one source) and interning
-#: keeps the per-invocation key a cheap tuple of ints.
+#: (equal invocations of a prepared workload are one object) and
+#: interning keeps the per-invocation key a cheap tuple of ints.
 _FINGERPRINT_IDS = {}
 
 
 def trace_replay_token(trace):
-    """Interned content id for ``trace`` (memoised on the trace).
-
-    A trace that shares its prepared forms with an equal one
-    (:func:`~repro.workloads.lowering.content_source`) takes that
-    trace's token, so each distinct content is fingerprinted once.
-    """
+    """Interned content id for ``trace`` (memoised on the trace)."""
     token = trace.__dict__.get("_replay_token")
     if token is None:
-        source = content_source(trace)
-        if source is not trace:
-            token = trace_replay_token(source)
-        else:
-            fingerprint = trace_fingerprint(trace)
-            token = _FINGERPRINT_IDS.setdefault(fingerprint,
-                                                len(_FINGERPRINT_IDS))
+        token = _FINGERPRINT_IDS.setdefault(trace_fingerprint(trace),
+                                            len(_FINGERPRINT_IDS))
         trace.__dict__["_replay_token"] = token
     return token
 

@@ -70,16 +70,8 @@ class AcceleratorTile:
                 axc_id, forward_plan, lease)
 
         l0x.invocation_lease = lease
-
-        def access_run(op, count, now, horizon, interval):
-            return l0x.access_run(op, count, now, horizon, interval,
-                                  lease)
-
         try:
-            end = self.cores[axc_id].run(
-                trace, start_time, l0x.access, mlp,
-                access_run=access_run, phase_quote=l0x.phase_quote,
-                phase_quote_batch=l0x.phase_quote_batch)
+            end = self.cores[axc_id].run(trace, start_time, l0x, mlp)
             end += l0x.flush_dirty(end)
         finally:
             l0x.forward_hook = None
@@ -95,7 +87,7 @@ class AcceleratorTile:
         # controller is race-free even with interleaved invocations.
         l0x.invocation_lease = lease
         end = yield from self.cores[axc_id].iter_run(
-            trace, start_time, l0x.access, mlp)
+            trace, start_time, l0x, mlp)
         return end + l0x.flush_dirty(end)
 
     def _make_forward_hook(self, producer_id, forward_plan, lease):

@@ -345,7 +345,13 @@ class AccL1XController:
 
 
 class AccL0XController:
-    """One accelerator's private L0X under ACC."""
+    """One accelerator's private L0X under ACC; the core's memory port
+    on a FUSION tile."""
+
+    #: Port constants (:mod:`repro.accel.core`): one issue per cycle
+    #: into the private L0X, and lease-capped phase windows.
+    issue_interval = 1
+    leased_phases = True
 
     def __init__(self, axc_id, config, l1x, axc_link, fwd_link, stats,
                  lease_policy=None):
@@ -533,7 +539,7 @@ class AccL0XController:
             latency += self._record_store(line, now + latency)
         return latency
 
-    def access_run(self, op, count, now, horizon, interval, lease):
+    def access_run(self, op, count, now, horizon, interval):
         """Serve a whole same-line access run in one protocol step.
 
         Returns the constant per-op latency when the steady-state guard

@@ -33,7 +33,13 @@ ISSUE_INTERVAL = 1.5
 
 
 class SharedL1XController:
-    """A MESI-participating shared L1X with no private caches below it."""
+    """A MESI-participating shared L1X with no private caches below it;
+    the core's memory port in the SHARED design."""
+
+    #: Port constants (:mod:`repro.accel.core`): every op crosses the
+    #: tile switch, and no lease caps a phase window.
+    issue_interval = ISSUE_INTERVAL
+    leased_phases = False
 
     def __init__(self, config, host_mem, page_table, stats,
                  agent_name=TILE):
@@ -61,11 +67,8 @@ class SharedL1XController:
         self._set_mask = self.config.num_sets - 1
         self._base_latency = SWITCH_LATENCY + self.config.hit_latency
         #: Steady-state phase fast path: per-phase translated block
-        #: info keyed by the Phase object, and the page table's affine
-        #: offset (probed lazily — ``False`` when translation is not a
-        #: pure shift).
+        #: info keyed by the Phase object.
         self._phase_info = {}
-        self._phys_delta = None
         #: Batched-quote state per VectorWindow (the vector rung).
         self._window_info = {}
         self.axc_link = None  # attached by the system (builds flushers)
@@ -221,45 +224,14 @@ class SharedL1XController:
     def _compile_phase(self, phase):
         """Translate a phase's lines (cached per phase).
 
-        The page table is a fixed deterministic mapping of ``(pid,
-        vpn)`` — in this model an affine one: physical = virtual plus a
-        per-pid constant.  A two-point probe (cached per controller)
-        confirms that, after which the phase's translated projection is
-        just its ``block_info`` shifted by the line-aligned delta — no
-        per-op walk.  Should the probe ever fail, the exact walk is the
-        fallback.
+        The page table is affine (physical = virtual + ``offset``, a
+        page-aligned constant per pid), so the phase's translated
+        projection is just its ``block_info`` shifted by the offset —
+        no per-op walk.
         """
-        delta = self._phys_delta
-        if delta is None:
-            translate = self.page_table.translate
-            delta = translate(0)
-            probe = (1 << 29) | 0x5ec
-            if translate(probe) != probe + delta or \
-                    delta & (LINE_SIZE - 1):
-                delta = False
-            self._phys_delta = delta
-        if delta is not False:
-            pblocks = tuple((info[0] + delta, info[2], info[4])
-                            for info in phase.block_info)
-        else:
-            translate = self.page_table.translate
-            info = {}
-            order = []
-            position = 0
-            for op, arg, count in phase.steps:
-                if op is None:
-                    continue
-                pblock = translate(op.addr) & _BLOCK_MASK
-                record = info.get(pblock)
-                if record is None:
-                    info[pblock] = record = [0, 0]
-                    order.append(pblock)
-                if op.is_store:
-                    record[0] = 1
-                position += count
-                record[1] = position
-            pblocks = tuple((pblock, info[pblock][0], info[pblock][1])
-                            for pblock in order)
+        offset = self.page_table.offset
+        pblocks = tuple((info[0] + offset, info[2], info[4])
+                        for info in phase.block_info)
         self._phase_info[phase] = pblocks
         return pblocks
 
@@ -281,17 +253,13 @@ class SharedL1XController:
         The L1X hit latency here exceeds the SHARED issue interval, so
         the core never takes the bulk *timeline* for these windows —
         the win is the batched guard and the collapsed ledger.
-        Declines (``None``) when bank contention is modelled or the
-        page table is not affine (the per-phase quote's exact-walk
-        fallback still serves those).
+        Declines (``None``) when bank contention is modelled.
         """
         if self.banks is not None:
             return None
         info = self._window_info.get(window)
         if info is None:
             info = self._compile_window(window)
-        if info is False:       # non-affine page table, cached decline
-            return None
         pblocks, store_rows, ledger = info
         lines = self.cache._lines
         num_rows = len(pblocks)
@@ -332,30 +300,19 @@ class SharedL1XController:
         return accepted, latency, latency
 
     def _compile_window(self, window):
-        """Precompile one window's batched-quote state, or ``False``
-        when the page table is not the affine fast case (probed exactly
-        as in :meth:`_compile_phase`).
+        """Precompile one window's batched-quote state (lines
+        translated by the page table's affine ``offset``, as in
+        :meth:`_compile_phase`).
 
         The pure pieces — translated blocks, store rows, the ledger
         program — are memoised on the window across controller
         instances (:meth:`VectorWindow.cached`); only the registry
         binding happens per controller.
         """
-        delta = self._phys_delta
-        if delta is None:
-            translate = self.page_table.translate
-            delta = translate(0)
-            probe = (1 << 29) | 0x5ec
-            if translate(probe) != probe + delta or \
-                    delta & (LINE_SIZE - 1):
-                delta = False
-            self._phys_delta = delta
-        if delta is False:
-            self._window_info[window] = False
-            return False
+        offset = self.page_table.offset
         pblocks = window.cached(
-            ("shared-pblocks", delta),
-            lambda: tuple(block + delta for block in window.row_blocks))
+            ("shared-pblocks", offset),
+            lambda: tuple(block + offset for block in window.row_blocks))
         store_rows = window.cached("store-rows", lambda: tuple(
             i for i, (_, stores) in enumerate(window.rows) if stores))
         load_pairs = self._flush_load_hit.pairs

@@ -44,7 +44,7 @@ from ..interconnect.link import Link
 from ..mem.scratchpad import Scratchpad
 from ..workloads.forwarding import forwarding_plan
 from .directory import TILE
-from .shared_l1 import ISSUE_INTERVAL, SharedL1XController
+from .shared_l1 import SharedL1XController
 
 
 @dataclass
@@ -264,12 +264,8 @@ class BoundScratchpadDma:
         for window_index, window in enumerate(windows):
             now += self.dma.transfer_in(window.in_blocks, scratchpad,
                                         now)
-            now = core.run(window.trace, now, model.access, mlp,
-                           charge_invocation=(window_index == 0),
-                           access_run=model.access_run,
-                           phase_quote=model.phase_quote,
-                           phase_quote_batch=model.phase_quote_batch,
-                           leased_phases=False)
+            now = core.run(window.trace, now, model, mlp,
+                           charge_invocation=(window_index == 0))
             dirty = scratchpad.drain()
             now += self.dma.transfer_out(dirty, now)
         return now
@@ -296,13 +292,7 @@ class BoundSharedL1X:
         self.cores = [AxcCore(i, ctx.stats) for i in range(ctx.num_axcs)]
 
     def run(self, strategy, index, trace, now, axc, mlp):
-        return self.cores[axc].run(
-            trace, now, self.l1x.access, mlp,
-            issue_interval=ISSUE_INTERVAL,
-            access_run=self.l1x.access_run,
-            phase_quote=self.l1x.phase_quote,
-            phase_quote_batch=self.l1x.phase_quote_batch,
-            leased_phases=False)
+        return self.cores[axc].run(trace, now, self.l1x, mlp)
 
     def replay_adapter(self, tenant, strategy):
         if self.config.tile.model_bank_conflicts:
@@ -380,22 +370,27 @@ class BoundFusionTile:
         return AccTileReplayAdapter(tenant, self, strategy)
 
 
-def _free_access(op, now):
-    return 1
+class FreeMemory:
+    """IDEAL's memory port: every op costs one cycle and nothing else.
 
+    No guard can fail and no hierarchy counters exist, so every rung
+    accepts its whole unit of work at the free per-op latency.
+    """
 
-def _free_access_run(op, count, now, horizon, interval):
-    return 1
+    issue_interval = 1
+    leased_phases = False
 
+    def access(self, op, now):
+        return 1
 
-def _free_phase_quote(phase, now, horizon, interval):
-    return 1, 1
+    def access_run(self, op, count, now, horizon, interval):
+        return 1
 
+    def phase_quote(self, phase, now, horizon, interval):
+        return 1, 1
 
-def _free_phase_quote_batch(window, now, horizon, interval):
-    # No guard can fail and no hierarchy counters exist, so every
-    # window is accepted whole at the free per-op latency.
-    return len(window.phases), 1, 1
+    def phase_quote_batch(self, window, now, horizon, interval):
+        return len(window.phases), 1, 1
 
 
 class BoundIdeal:
@@ -405,13 +400,10 @@ class BoundIdeal:
 
     def __init__(self, ctx):
         self.cores = [AxcCore(i, ctx.stats) for i in range(ctx.num_axcs)]
+        self.memory = FreeMemory()
 
     def run(self, strategy, index, trace, now, axc, mlp):
-        return self.cores[axc].run(
-            trace, now, _free_access, mlp, access_run=_free_access_run,
-            phase_quote=_free_phase_quote,
-            phase_quote_batch=_free_phase_quote_batch,
-            leased_phases=False)
+        return self.cores[axc].run(trace, now, self.memory, mlp)
 
     def replay_adapter(self, tenant, strategy):
         return IdealReplayAdapter(tenant)

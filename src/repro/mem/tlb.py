@@ -27,15 +27,23 @@ class PageTable:
 
     Mappings are created on demand (the host OS would have allocated the
     arrays before offloading); the mapping is a fixed frame offset plus a
-    per-PID stride so distinct processes never alias.
+    per-PID stride so distinct processes never alias.  Every page shifts
+    by the same frame count, so translation is affine:
+    ``translate(v) == v + offset`` for every ``v``.
     """
 
     def __init__(self, pid=0):
         self.pid = pid
         self._map = {}
 
+    @property
+    def offset(self):
+        """Physical minus virtual address, the same for every page
+        (page-aligned, hence line-aligned)."""
+        return (PHYSICAL_BASE_FRAME + (self.pid << 28)) << PAGE_SHIFT
+
     def map_page(self, vpn):
-        ppn = PHYSICAL_BASE_FRAME + (self.pid << 28) + vpn
+        ppn = vpn + (self.offset >> PAGE_SHIFT)
         self._map[vpn] = ppn
         return ppn
 
@@ -54,7 +62,7 @@ class PageTable:
         should never forward a request for an unmapped page.
         """
         ppn = paddr >> PAGE_SHIFT
-        vpn = ppn - PHYSICAL_BASE_FRAME - (self.pid << 28)
+        vpn = ppn - (self.offset >> PAGE_SHIFT)
         if self._map.get(vpn) != ppn:
             raise TranslationError(
                 "no reverse mapping for paddr {:#x}".format(paddr))

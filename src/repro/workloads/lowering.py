@@ -18,7 +18,7 @@ Lowered form: ``LoweredTrace.steps`` is a list of 3-tuples,
   line-aligned address precomputed.  ``mem_op`` is the first original
   :class:`~repro.common.types.MemOp` of the run (every op in a run is
   interchangeable to the memory system: same kind, same line — so
-  ``access_fn`` closures are untouched).  Runs are *maximal*: a run
+  a port's ``access`` is untouched).  Runs are *maximal*: a run
   breaks on a different line, a different kind, or an intervening
   compute chunk (whose latency would interleave with the run's
   timeline); cost-free phase markers do not break runs, exactly as they
@@ -48,13 +48,13 @@ invoked repeatedly records equal ones: FFT at n=512 x16 runs 96
 invocations of 6 distinct contents.  :func:`lower_workload` therefore
 prepares each distinct content once.  It keys every invocation on its
 exact content (:func:`~repro.common.types.trace_fingerprint`) in a
-dict that lives only for the call; a later trace equal to an earlier
-one takes the earlier one's memo dicts (lowered streams, phase plans,
-vector plans) and a link to it (:func:`content_source`), from which
-invocation replay takes its token.  Preparation makes only long-lived
-objects and no cycles, so it runs with the collector paused
-(:func:`~repro.common.collector.collector_paused`, docs/simulator.md
-§6.4).
+dict that lives only for the call, and puts the first trace of each
+content into every later slot of ``workload.invocations``: equal
+invocations become one object, so its lowered streams, plans, DMA
+windows, block sets and replay token are made once.  Preparation makes
+only long-lived objects and no cycles, so it runs with the collector
+paused (:func:`~repro.common.collector.collector_paused`,
+docs/simulator.md §6.4).
 """
 
 import math
@@ -64,14 +64,6 @@ from ..common.types import ComputeOp, MemOp, trace_fingerprint
 
 #: Attribute used to memoise lowered forms on a trace object.
 _CACHE_ATTR = "_lowered_by_width"
-
-#: The memo dicts an equal trace shares with its content source: the
-#: lowered streams, phase plans (:mod:`.phases`) and vector plans
-#: (:mod:`.vector`).
-_SHARED_ATTRS = (_CACHE_ATTR, "_phase_plans", "_vector_plans")
-
-#: Attribute linking a trace to the equal trace it shares memos with.
-_SOURCE_ATTR = "_content_source"
 
 
 class LoweredTrace:
@@ -219,34 +211,20 @@ def lowered_trace(trace, issue_width):
     return lowered
 
 
-def content_source(trace):
-    """The equal trace whose prepared forms ``trace`` shares, or
-    ``trace`` itself.
-
-    :func:`lower_workload` sets the link.  It holds only while both
-    traces still share one lowered memo: once either is invalidated
-    (:func:`invalidate_lowered`), their contents may differ.
-    """
-    source = trace.__dict__.get(_SOURCE_ATTR)
-    if source is None or (source.__dict__.get(_CACHE_ATTR)
-                          is not trace.__dict__.get(_CACHE_ATTR)):
-        return trace
-    return source
-
-
 def invalidate_lowered(trace):
     """Drop a trace's memoised derived forms (after mutating its ops).
 
     Clears the lowered streams, the compiled steady-state phase and
     vector plans (which are derived from the lowered streams), the
     block-set caches (:meth:`~repro.common.types.FunctionTrace.touched_blocks`
-    / ``dirty_blocks``), the DMA windows, the replay token and the link
-    to a content source — everything derived from ``trace.ops``.  Memos
-    shared with an equal trace are dropped from this trace only.
+    / ``dirty_blocks``), the DMA windows and the replay token —
+    everything derived from ``trace.ops``.  Equal invocations of a
+    prepared workload are one object, so mutating it changes every
+    slot it fills.
     """
-    for attr in _SHARED_ATTRS + (_SOURCE_ATTR, "_touched_blocks",
-                                 "_dirty_blocks", "_dma_windows",
-                                 "_replay_token"):
+    for attr in (_CACHE_ATTR, "_phase_plans", "_vector_plans",
+                 "_touched_blocks", "_dirty_blocks", "_dma_windows",
+                 "_replay_token"):
         trace.__dict__.pop(attr, None)
 
 
@@ -260,21 +238,19 @@ def lower_workload(workload, issue_width=4):
     available, the structure-of-arrays vector plans above them (the
     vector rung; skipped cleanly on a numpy-less install).  Each
     distinct content is prepared once: an invocation equal to an
-    earlier one shares its memos instead.  Runs with the collector
-    paused.  Returns the workload for chaining.
+    earlier one is replaced by it.  Runs with the collector paused.
+    Returns the workload for chaining.
     """
     from . import vector
     from .phases import phase_plan
 
     with collector_paused():
-        sources = {}
-        for trace in workload.invocations:
-            source = sources.setdefault(trace_fingerprint(trace), trace)
+        invocations = workload.invocations
+        first = {}
+        for index, trace in enumerate(invocations):
+            source = first.setdefault(trace_fingerprint(trace), trace)
             if source is not trace:
-                for attr in _SHARED_ATTRS:
-                    if attr in source.__dict__:
-                        trace.__dict__[attr] = source.__dict__[attr]
-                trace.__dict__[_SOURCE_ATTR] = source
+                invocations[index] = source
                 continue
             lowered_trace(trace, issue_width)
             phase_plan(trace, issue_width, leased=True)

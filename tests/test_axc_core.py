@@ -1,5 +1,7 @@
 """The accelerator cycle model (repro.accel.core)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.accel.core import AxcCore
@@ -16,8 +18,10 @@ def trace(ops):
     return FunctionTrace(name="f", benchmark="b", ops=ops)
 
 
-def fixed_latency(latency):
-    return lambda op, now: latency
+def fixed_latency(latency, issue_interval=1):
+    """A memory port offering ``access`` alone."""
+    return SimpleNamespace(access=lambda op, now: latency,
+                           issue_interval=issue_interval)
 
 
 def loads(n, stride=64):
@@ -62,8 +66,7 @@ def test_issue_interval_throttles():
     core, _ = make_core()
     base = core.run(trace(loads(50)), 0, fixed_latency(1), 8)
     core2, _ = make_core()
-    throttled = core2.run(trace(loads(50)), 0, fixed_latency(1), 8,
-                          issue_interval=2)
+    throttled = core2.run(trace(loads(50)), 0, fixed_latency(1, 2), 8)
     assert throttled >= 2 * base - 2
 
 
@@ -74,7 +77,7 @@ def test_mshr_merge_delays_same_block_access():
         return 100 if now == 0 else 1
 
     ops = [MemOp(AccessType.LOAD, 0), MemOp(AccessType.LOAD, 8)]
-    end = core.run(trace(ops), 0, miss_then_hit, 4)
+    end = core.run(trace(ops), 0, SimpleNamespace(access=miss_then_hit), 4)
     # The second access is to the same line: it cannot complete before
     # the outstanding fill.
     assert end >= 100

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from types import SimpleNamespace
 
 import repro.accel.replay as replay_mod
 from repro.accel.core import AxcCore
@@ -20,7 +21,6 @@ from repro.common.types import (
 from repro.host.dma import windows_for
 from repro.workloads.lowering import (
     LoweredTrace,
-    content_source,
     invalidate_lowered,
     lower_trace,
     lower_workload,
@@ -187,52 +187,48 @@ def test_fingerprint_is_exact():
 
 
 def test_lower_workload_prepares_each_content_once(monkeypatch):
-    """Equal invocations share the first one's lowered stream and plans
-    and take its replay token without fingerprinting again."""
+    """Equal invocations become the first one's object, lowered and
+    planned once, and replay fingerprints each content once."""
     variants = _variants()
-    invocations = [copy.deepcopy(trace) for trace in variants * 3]
-    lower_workload(WorkloadTrace("b", invocations))
     distinct = len(variants)
-    for index, trace in enumerate(invocations):
-        source = invocations[index % distinct]
-        assert content_source(trace) is source
+    workload = WorkloadTrace("b", [copy.deepcopy(trace)
+                                   for trace in variants * 3])
+    firsts = workload.invocations[:distinct]
+    lower_workload(workload)
+    for index, trace in enumerate(workload.invocations):
+        assert trace is firsts[index % distinct]
         assert "_lowered_by_width" in trace.__dict__
-        for attr in ("_lowered_by_width", "_phase_plans", "_vector_plans"):
-            assert trace.__dict__.get(attr) is source.__dict__.get(attr)
-    for a in invocations[:distinct]:
-        for b in invocations[:distinct]:
+    for a in firsts:
+        for b in firsts:
             assert (lowered_trace(a, 4) is lowered_trace(b, 4)) == (a is b)
 
     fingerprinted = []
     monkeypatch.setattr(replay_mod, "trace_fingerprint", lambda trace: (
         fingerprinted.append(trace) or trace_fingerprint(trace)))
-    tokens = [trace_replay_token(trace) for trace in invocations]
-    assert fingerprinted == invocations[:distinct]
+    tokens = [trace_replay_token(trace) for trace in workload.invocations]
+    assert fingerprinted == firsts
     assert tokens == tokens[:distinct] * 3
 
 
 def test_invalidate_drops_token_and_sharing():
-    """After its ops change and it is invalidated, a trace has its own
-    token and lowered form; an equal trace keeps the old content's."""
-    source, twin, other = (copy.deepcopy(_variants()[0]) for _ in range(3))
-    lower_workload(WorkloadTrace("b", [source, twin, other]))
-    old_token = trace_replay_token(twin)
-    old_lowered = lowered_trace(twin, 4)
-    windows_for(twin, 1)
-    twin.ops.append(MemOp(AccessType.LOAD, 0x400))
-    invalidate_lowered(twin)
-    assert content_source(twin) is twin
-    assert trace_replay_token(twin) != old_token
-    assert lowered_trace(twin, 4) is not old_lowered
-    assert lowered_trace(twin, 4).mem_ops == old_lowered.mem_ops + 1
-    assert 0x400 in {block for window in windows_for(twin, 1)
+    """After its ops change and it is invalidated, a prepared trace has
+    its own token, lowered form and DMA windows; the equal invocations
+    it stands for are the same object."""
+    workload = WorkloadTrace("b", [copy.deepcopy(_variants()[0])
+                                   for _ in range(3)])
+    lower_workload(workload)
+    trace = workload.invocations[1]
+    old_token = trace_replay_token(trace)
+    old_lowered = lowered_trace(trace, 4)
+    windows_for(trace, 1)
+    trace.ops.append(MemOp(AccessType.LOAD, 0x400))
+    invalidate_lowered(trace)
+    assert all(slot is trace for slot in workload.invocations)
+    assert trace_replay_token(trace) != old_token
+    assert lowered_trace(trace, 4) is not old_lowered
+    assert lowered_trace(trace, 4).mem_ops == old_lowered.mem_ops + 1
+    assert 0x400 in {block for window in windows_for(trace, 1)
                      for block in window.in_blocks}
-    # Changing the source unlinks the traces that shared its memos.
-    source.ops.append(MemOp(AccessType.LOAD, 0x400))
-    invalidate_lowered(source)
-    assert content_source(other) is other
-    assert trace_replay_token(other) == old_token
-    assert lowered_trace(other, 4) is old_lowered
 
 
 def test_run_and_iter_run_agree():
@@ -251,11 +247,13 @@ def test_run_and_iter_run_agree():
 
     run_stats = StatsRegistry()
     run_core = AxcCore(0, run_stats)
-    run_end = run_core.run(trace, 10, access_fn, mlp=3)
+    run_end = run_core.run(trace, 10, SimpleNamespace(access=access_fn),
+                           mlp=3)
 
     iter_stats = StatsRegistry()
     iter_core = AxcCore(0, iter_stats)
-    generator = iter_core.iter_run(trace, 10, access_fn, mlp=3)
+    generator = iter_core.iter_run(trace, 10,
+                                   SimpleNamespace(access=access_fn), mlp=3)
     while True:
         try:
             next(generator)

@@ -1,6 +1,7 @@
 """Property-based tests: AXC cycle-model timing bounds."""
 
 import math
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +22,9 @@ mlps = st.integers(1, 8)
 def run_core(trace_ops, latency, mlp, issue_interval=1):
     core = AxcCore(0, StatsRegistry())
     trace = FunctionTrace(name="f", benchmark="b", ops=trace_ops)
-    return core.run(trace, 0, lambda op, now: latency, mlp,
-                    issue_interval)
+    port = SimpleNamespace(access=lambda op, now: latency,
+                           issue_interval=issue_interval)
+    return core.run(trace, 0, port, mlp)
 
 
 @given(ops, latencies, mlps)
@@ -70,7 +72,7 @@ def test_start_time_shifts_end_exactly(trace_ops, latency, mlp, start):
     core_a = AxcCore(0, StatsRegistry())
     core_b = AxcCore(0, StatsRegistry())
     trace = FunctionTrace(name="f", benchmark="b", ops=trace_ops)
-    end_zero = core_a.run(trace, 0, lambda op, now: latency, mlp)
-    end_start = core_b.run(trace, start,
-                           lambda op, now: latency, mlp)
+    port = SimpleNamespace(access=lambda op, now: latency)
+    end_zero = core_a.run(trace, 0, port, mlp)
+    end_start = core_b.run(trace, start, port, mlp)
     assert end_start == end_zero + start

@@ -1,6 +1,8 @@
 """Virtual memory: page table and AX-TLB (repro.mem.tlb)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import TranslationError
 from repro.common.stats import StatsRegistry
@@ -40,6 +42,17 @@ def test_pids_do_not_alias():
     a = PageTable(pid=0)
     b = PageTable(pid=1)
     assert a.translate(0x1000) != b.translate(0x1000)
+
+
+@given(st.integers(0, 3), st.lists(st.integers(0, (1 << 40) - 1),
+                                    min_size=1, max_size=20))
+@settings(max_examples=50)
+def test_translation_is_affine(pid, vaddrs):
+    """``translate(v) == v + offset`` on pages mapped for the first time
+    and on pages mapped before, for every pid."""
+    pt = PageTable(pid=pid)
+    for vaddr in vaddrs + vaddrs:
+        assert pt.translate(vaddr) == vaddr + pt.offset
 
 
 def make_tlb(entries=2):
