@@ -87,7 +87,7 @@ def test_micro_lowered_matches_legacy():
 
 
 def _warm_run_setup():
-    """Warm ACC stack + run-heavy trace for the coalescing pair."""
+    """Warm ACC stack + run-heavy trace for the per-op/phase pair."""
     trace = perf_smoke.make_run_trace()
     core = AxcCore(0, StatsRegistry())
     l0x = perf_smoke.build_acc_l0x()
@@ -104,42 +104,24 @@ def test_micro_acc_run_per_op(benchmark):
     benchmark(lambda: core.run(trace, 0, port, mlp=4))
 
 
-def test_micro_acc_run_coalesced(benchmark):
-    """Ops/sec with ``access_run`` serving each steady-state run in one
-    protocol step (the run-coalescing fast path)."""
-    trace, core, l0x = _warm_run_setup()
-    port = Port(l0x, "access_run")
-
-    benchmark(lambda: core.run(trace, 0, port, mlp=4))
-
-
-def test_micro_run_coalesced_matches_per_op():
-    """Semantics gate: both protocol paths end at the same cycle."""
-    trace, core, l0x = _warm_run_setup()
-    per_op_end = core.run(trace, 0, Port(l0x), mlp=4)
-    coalesced_end = core.run(trace, 0, Port(l0x, "access_run"), mlp=4)
-    assert coalesced_end == per_op_end
-
-
 def test_micro_acc_phase_steady(benchmark):
     """Ops/sec with ``phase_quote`` serving whole lease-stable windows
-    in one protocol step (the steady-state phase engine — top rung of
-    the fallback ladder above the coalesced-run path)."""
+    (and lone runs) in one protocol step (the steady-state phase
+    engine — the rung of the fallback ladder above the per-op path)."""
     trace, core, l0x = _warm_run_setup()
-    port = Port(l0x, "access_run", "phase_quote")
+    port = Port(l0x, "phase_quote")
 
     benchmark(lambda: core.run(trace, 0, port, mlp=4))
 
 
-def test_micro_phase_matches_coalesced():
-    """Semantics gate: the phase path and the coalesced-run path end at
-    the same cycle (bit-identity across all counters is the
-    differential oracle's job — ``tests/test_oracle.py``)."""
+def test_micro_phase_matches_per_op():
+    """Semantics gate: the phase path and the per-op path end at the
+    same cycle (bit-identity across all counters is the differential
+    oracle's job — ``tests/test_oracle.py``)."""
     trace, core, l0x = _warm_run_setup()
-    coalesced_end = core.run(trace, 0, Port(l0x, "access_run"), mlp=4)
-    phased_end = core.run(trace, 0, Port(l0x, "access_run", "phase_quote"),
-                          mlp=4)
-    assert phased_end == coalesced_end
+    per_op_end = core.run(trace, 0, Port(l0x), mlp=4)
+    phased_end = core.run(trace, 0, Port(l0x, "phase_quote"), mlp=4)
+    assert phased_end == per_op_end
 
 
 def _warm_window_setup():
@@ -161,7 +143,7 @@ def test_micro_acc_windows_phased(benchmark):
     """Ops/sec serving the long window one ``phase_quote`` at a time
     (comparison point for the vector rung's batch win)."""
     trace, core, l0x = _warm_window_setup()
-    port = Port(l0x, "access_run", "phase_quote")
+    port = Port(l0x, "phase_quote")
 
     benchmark(lambda: core.run(trace, 0, port, mlp=4))
 
@@ -171,7 +153,7 @@ def test_micro_acc_windows_vector(benchmark):
     whole multi-phase window in one vectorised pass (the fifth rung of
     the fallback ladder)."""
     trace, core, l0x = _warm_window_setup()
-    port = Port(l0x, "access_run", "phase_quote", "phase_quote_batch")
+    port = Port(l0x, "phase_quote", "phase_quote_batch")
 
     benchmark(lambda: core.run(trace, 0, port, mlp=4))
 
@@ -181,9 +163,8 @@ def test_micro_vector_matches_phased():
     end at the same cycle (counter bit-identity is covered by
     ``tests/test_oracle.py``)."""
     trace, core, l0x = _warm_window_setup()
-    phased_end = core.run(trace, 0, Port(l0x, "access_run", "phase_quote"),
-                          mlp=4)
-    vector_end = core.run(trace, 0, Port(l0x, "access_run", "phase_quote",
+    phased_end = core.run(trace, 0, Port(l0x, "phase_quote"), mlp=4)
+    vector_end = core.run(trace, 0, Port(l0x, "phase_quote",
                                          "phase_quote_batch"), mlp=4)
     assert vector_end == phased_end
 

@@ -12,12 +12,13 @@ ways:
 * **lowered** — the production :meth:`repro.accel.core.AxcCore.run`
   over the compiled stream.
 
-It also measures the run-coalescing fast path the same way: a
+It also measures the steady-state phase rung the same way: a
 run-heavy synthetic invocation driven through a real ACC L0X/L1X
 protocol stack once through a port offering ``access`` alone and once
-through one that also offers the controller's ``access_run``.  One rung further up, the vector
-pair drives the same stack once per-phase (``phase_quote``) and once
-with the batched-window entry point (``phase_quote_batch``) offered too.
+through one that also offers the controller's ``phase_quote``.  One
+rung further up, the vector pair drives the same stack once per-phase
+(``phase_quote``) and once with the batched-window entry point
+(``phase_quote_batch``) offered too.
 Above those sits the replay pair: an iterated Figure-6 FFT workload
 through the full FUSION system with ``REPLAY_INVOCATIONS`` off
 (steady phases) and on (guarded invocation replay), timed interleaved
@@ -223,16 +224,17 @@ def run_measurement():
     }
 
 
-def run_coalesce_measurement():
-    """Measure per-op vs run-coalesced protocol serving; returns the
+def run_phase_measurement():
+    """Measure per-op vs steady-phase protocol serving; returns the
     metrics dict.
 
-    The same run-heavy trace is driven through a warm ACC L0X twice per
-    repeat: once expanding every op through ``AccL0XController.access``
-    and once through a port that also offers ``access_run``, which
-    serves each steady-state run in one protocol step.  Both paths must end at the
-    same cycle — the run-coalescing layer's bit-identity claim, pinned
-    exhaustively by ``tests/test_golden_full.py`` and
+    The same warm run-heavy trace is driven through the ACC L0X twice
+    per repeat: once expanding every op through
+    ``AccL0XController.access`` and once through a port that also
+    offers ``phase_quote``, so lease-stable windows (and lone runs)
+    collapse to one guard check, one ledger flush and one closed-form
+    timeline application.  Both paths must end at the same cycle —
+    bit-identity across every counter is pinned by
     ``tests/test_oracle.py``.
     """
     trace = make_run_trace()
@@ -241,70 +243,25 @@ def run_coalesce_measurement():
     l0x = build_acc_l0x()
     l0x.invocation_lease = trace.lease_time
 
-    # Warm the L0X (install every line) so both timed paths run in the
-    # steady state the fast path targets; then check semantics.
     per_op = Port(l0x)
-    coalesced = Port(l0x, "access_run")
-    core.run(trace, 0, per_op, mlp=4)
+    phased = Port(l0x, "phase_quote")
+    core.run(trace, 0, per_op, mlp=4)  # install every line
     per_op_end = core.run(trace, 0, per_op, mlp=4)
-    coalesced_end = core.run(trace, 0, coalesced, mlp=4)
-    if per_op_end != coalesced_end:
+    phased_end = core.run(trace, 0, phased, mlp=4)
+    if phased_end != per_op_end:
         raise AssertionError(
-            "semantics drift: per-op end {} != coalesced end {}".format(
-                per_op_end, coalesced_end))
+            "semantics drift: per-op end {} != phased end {}".format(
+                per_op_end, phased_end))
 
     per_op_s = _best_seconds(lambda: core.run(trace, 0, per_op, mlp=4))
-    coalesced_s = _best_seconds(
-        lambda: core.run(trace, 0, coalesced, mlp=4))
-    per_op_ops = total_mem_ops / per_op_s
-    coalesced_ops = total_mem_ops / coalesced_s
-    return {
-        "mem_ops": total_mem_ops,
-        "run_length": 8,
-        "per_op_ops_per_s": round(per_op_ops),
-        "coalesced_ops_per_s": round(coalesced_ops),
-        "speedup": round(coalesced_ops / per_op_ops, 3),
-    }
-
-
-def run_phase_measurement():
-    """Measure run-coalesced vs steady-phase protocol serving; returns
-    the metrics dict.
-
-    The next rung of the fallback ladder above run coalescing: the same
-    warm run-heavy trace, once with ``access_run`` alone and once with
-    ``phase_quote`` also offered, so lease-stable windows collapse to
-    one guard check, one ledger flush and one closed-form timeline
-    application.  Both paths must end at the same cycle — bit-identity
-    across every counter is pinned by
-    ``tests/test_oracle.py``.
-    """
-    trace = make_run_trace()
-    total_mem_ops = sum(1 for op in trace.ops if isinstance(op, MemOp))
-    core = AxcCore(0, StatsRegistry())
-    l0x = build_acc_l0x()
-    l0x.invocation_lease = trace.lease_time
-
-    coalesced = Port(l0x, "access_run")
-    phased = Port(l0x, "access_run", "phase_quote")
-    core.run(trace, 0, Port(l0x), mlp=4)  # install every line
-    coalesced_end = core.run(trace, 0, coalesced, mlp=4)
-    phased_end = core.run(trace, 0, phased, mlp=4)
-    if phased_end != coalesced_end:
-        raise AssertionError(
-            "semantics drift: coalesced end {} != phased end {}".format(
-                coalesced_end, phased_end))
-
-    coalesced_s = _best_seconds(
-        lambda: core.run(trace, 0, coalesced, mlp=4))
     phased_s = _best_seconds(lambda: core.run(trace, 0, phased, mlp=4))
-    coalesced_ops = total_mem_ops / coalesced_s
+    per_op_ops = total_mem_ops / per_op_s
     phased_ops = total_mem_ops / phased_s
     return {
         "mem_ops": total_mem_ops,
-        "coalesced_ops_per_s": round(coalesced_ops),
+        "per_op_ops_per_s": round(per_op_ops),
         "phased_ops_per_s": round(phased_ops),
-        "speedup": round(phased_ops / coalesced_ops, 3),
+        "speedup": round(phased_ops / per_op_ops, 3),
     }
 
 
@@ -334,8 +291,8 @@ def run_vector_measurement():
     l0x = build_acc_l0x()
     l0x.invocation_lease = trace.lease_time
 
-    phased = Port(l0x, "access_run", "phase_quote")
-    vector = Port(l0x, "access_run", "phase_quote", "phase_quote_batch")
+    phased = Port(l0x, "phase_quote")
+    vector = Port(l0x, "phase_quote", "phase_quote_batch")
     core.run(trace, 0, Port(l0x), mlp=4)  # install every line
     phased_end = core.run(trace, 0, phased, mlp=4)
     vector_end = core.run(trace, 0, vector, mlp=4)
@@ -503,15 +460,10 @@ def main(argv=None):
     print("legacy : {legacy_ops_per_s:>10,} ops/s".format(**metrics))
     print("lowered: {lowered_ops_per_s:>10,} ops/s".format(**metrics))
     print("speedup: {speedup:.2f}x (lowered over legacy)".format(**metrics))
-    coalesce = run_coalesce_measurement()
-    print("per-op   : {per_op_ops_per_s:>10,} ops/s".format(**coalesce))
-    print("coalesced: {coalesced_ops_per_s:>10,} ops/s".format(**coalesce))
-    print("speedup: {speedup:.2f}x (coalesced over per-op protocol "
-          "serving)".format(**coalesce))
     phases = run_phase_measurement()
-    print("coalesced: {coalesced_ops_per_s:>10,} ops/s".format(**phases))
+    print("per-op   : {per_op_ops_per_s:>10,} ops/s".format(**phases))
     print("phased   : {phased_ops_per_s:>10,} ops/s".format(**phases))
-    print("speedup: {speedup:.2f}x (steady phases over coalesced "
+    print("speedup: {speedup:.2f}x (steady phases over per-op protocol "
           "serving)".format(**phases))
     vector = run_vector_measurement()
     if vector is not None:
@@ -536,8 +488,9 @@ def main(argv=None):
                 "Recorded by `PYTHONPATH=src python benchmarks/"
                 "perf_smoke.py --write-baseline --grid` on the dev "
                 "container ({}).  CI gates only the machine-independent "
-                "speedup *ratios* (micro.speedup, run_coalesce.speedup, "
-                "steady_phases.speedup); fig6_grid.wall_s is "
+                "speedup *ratios* (micro.speedup, steady_phases.speedup, "
+                "vector_phases.speedup, invocation_replay.speedup); "
+                "fig6_grid.wall_s is "
                 "machine-dependent provenance only — container speed "
                 "drifts between sessions (earlier baselines recorded "
                 "6.838s and 6.236s for grids this machine now runs in "
@@ -554,7 +507,6 @@ def main(argv=None):
                 "and phased_wall_s the rung-off pass.".format(
                     time.strftime("%Y-%m-%d"))),
             "micro": metrics,
-            "run_coalesce": coalesce,
             "steady_phases": phases,
             "invocation_replay": replay,
             "tolerance": TOLERANCE,
@@ -583,9 +535,6 @@ def main(argv=None):
     failed = False
     gates = [("lowered hot path", baseline["micro"]["speedup"],
               metrics["speedup"])]
-    if "run_coalesce" in baseline:
-        gates.append(("run coalescing", baseline["run_coalesce"]["speedup"],
-                      coalesce["speedup"]))
     if "steady_phases" in baseline:
         gates.append(("steady phases",
                       baseline["steady_phases"]["speedup"],

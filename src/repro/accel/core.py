@@ -17,9 +17,9 @@ behaviour at trace granularity:
 The port is the controller itself: the FUSION L0X, the SHARED L1X, a
 SCRATCH scratchpad model or IDEAL's
 :class:`~repro.coherence.strategy.FreeMemory`.  It offers ``access(op,
-now) -> latency`` and any of the fast entry points ``access_run``,
+now) -> latency`` and either or both of the fast entry points
 ``phase_quote`` and ``phase_quote_batch`` (below, and
-``docs/simulator.md`` §9.1).  The core reads each once per call; a
+``docs/simulator.md`` §9).  The core reads each once per call; a
 missing one means the port does not offer that rung.  Two class
 attributes complete a port: ``issue_interval``, the cycles between
 memory-op issues (1 when absent; 1.5 when every op crosses the SHARED
@@ -38,36 +38,26 @@ per-op type dispatch.  The two paths are exercised for equivalence by
 ``tests/test_lowering.py`` and both are pinned bit-identical to the
 legacy interpreter by ``tests/test_golden_full.py``.
 
-Run coalescing: when the port offers ``access_run(op, count, now,
-horizon, interval)``, a whole run is served by *one* protocol call
-returning the constant per-op latency (``None`` declines; ``horizon``
-is ``max(now, max(outstanding))``, an upper bound for lease guards);
-the core then replays the issue timeline locally (heap bookkeeping
-only — no per-op protocol traversal, no per-op stats) which is exact
-because every op in the run has the same latency and the same block.
-A declined run issues one op through ``access`` and offers the rest
-again.  The module-level ``COALESCE_RUNS`` switch (read at call time)
-force-disables the fast path — the differential oracle
-(``tests/test_oracle.py``) flips it to prove bit-identity.
-
-Steady-state phases: one level above runs, the phase compiler
-(:mod:`repro.workloads.phases`) partitions the stream into windows that
-are steady-state *candidates*.  When the port offers
-``phase_quote``, each candidate window is offered to the protocol
-controller as a whole: a non-``None`` quote means every op of the phase
-was served and accounted in one protocol step (bulk phase ledger,
-exact LRU advance), and the core applies a
-:class:`~repro.workloads.phases.PhaseTimeline` cached per relative
-entry state (outstanding fills expressed as clock offsets) in O(1) —
-a cache miss replays the issue timeline once, with no protocol calls,
-and serves every later entry with the same signature.  A declined quote
-drops the window to the per-run coalesced path, and below that the
-per-op path: the fallback ladder of ``docs/simulator.md`` §10.
-``STEADY_PHASES`` (read at call time like ``COALESCE_RUNS``) toggles
-the path for equivalence testing.  ``phase_quote_batch`` sits one rung
-higher again (``VECTOR_PHASES``, numpy only): the port guards and
-accounts a whole window of consecutive phases in one pass, and the
-remaining entries of a partly accepted window drop down the ladder.
+Steady-state phases: the phase compiler (:mod:`repro.workloads.phases`)
+partitions the stream into windows that are steady-state *candidates*,
+a single same-line run being the smallest.  When the port offers
+``phase_quote(phase, now, horizon, interval)``, each candidate is
+offered to the protocol controller as a whole (``horizon`` is ``max(now,
+max(outstanding))``, an upper bound for lease guards): a non-``None``
+quote means every op of the phase was served and accounted in one
+protocol step (bulk phase ledger, exact LRU advance), and the core
+applies a :class:`~repro.workloads.phases.PhaseTimeline` cached per
+relative entry state (outstanding fills expressed as clock offsets) in
+O(1) — a cache miss replays the issue timeline once, with no protocol
+calls, and serves every later entry with the same signature.  A
+declined quote serves the window per-op: the fallback ladder of
+``docs/simulator.md`` §10.  ``STEADY_PHASES`` (read at call time)
+toggles the path for equivalence testing, and ``COALESCE_RUNS`` the
+one-step phases alone (off: they are served per-op).
+``phase_quote_batch`` sits one rung higher (``VECTOR_PHASES``, numpy
+only): the port guards and accounts a whole window of consecutive
+phases in one pass, and the remaining entries of a partly accepted
+window drop down the ladder.
 
 Energy: Aladdin-style activity counts are charged per compute chunk.
 """
@@ -78,11 +68,12 @@ import warnings
 from ..energy.accel_energy import INVOCATION_OVERHEAD_PJ, compute_energy_pj
 from ..workloads import vector as vector_mod
 from ..workloads.lowering import lowered_trace
-from ..workloads.phases import phase_plan, replay_steps
+from ..workloads.phases import phase_plan
 from ..workloads.vector import vector_plan
 
-#: Global enable for the run-coalescing fast path; tests flip this to
-#: run the same workload through both paths.
+#: Global enable for quoting one-step phases (a lone same-line run);
+#: off, the core serves them per-op.  The differential oracle
+#: (``tests/test_oracle.py``) flips it like the other rung flags.
 COALESCE_RUNS = True
 
 #: Global enable for the steady-state phase fast path; the differential
@@ -134,7 +125,7 @@ class AxcCore:
             trace: the :class:`FunctionTrace` to execute.
             start_time: tile clock at invocation start.
             port: the memory system — one controller offering ``access``
-                and any of ``access_run``, ``phase_quote`` and
+                and either or both of ``phase_quote`` and
                 ``phase_quote_batch`` (see the module docstring).
             mlp: maximum outstanding memory operations.
             charge_invocation: charge the fixed per-invocation
@@ -148,8 +139,7 @@ class AxcCore:
         fill_time_of = {}           # block -> outstanding completion
         access = port.access
         interval = getattr(port, "issue_interval", 1)
-        access_run = getattr(port, "access_run", None) \
-            if COALESCE_RUNS else None
+        coalesce = COALESCE_RUNS
         phase_quote = getattr(port, "phase_quote", None) \
             if STEADY_PHASES else None
         plan = None
@@ -167,7 +157,7 @@ class AxcCore:
         if plan is None:
             now = self._interpret(
                 lowered.steps, start_time, outstanding, fill_time_of,
-                access, access_run, mlp, interval)
+                access, mlp, interval)
         else:
             now = start_time
             entries = plan.entries
@@ -176,7 +166,8 @@ class AxcCore:
             index = 0
             while index < num_entries:
                 phase, steps = entries[index]
-                if phase is not None:
+                if phase is not None \
+                        and (coalesce or len(steps) > 1):
                     if window_at is not None:
                         window = window_at.get(index)
                         if window is not None:
@@ -200,8 +191,8 @@ class AxcCore:
                         index += 1
                         continue
                 now = self._interpret(
-                    steps, now, outstanding, fill_time_of, access,
-                    access_run, mlp, interval)
+                    steps, now, outstanding, fill_time_of, access, mlp,
+                    interval)
                 index += 1
         if outstanding:
             now = max(now, max(outstanding))
@@ -307,18 +298,10 @@ class AxcCore:
         return accepted, now
 
     def _interpret(self, steps, now, outstanding, fill_time_of, access,
-                   access_run, mlp, interval):
-        """Interpret a window of lowered steps (per-op + coalesced-run
-        paths), mutating the timeline state in place; returns ``now``.
-
-        While two or more ops of a run remain, the run is offered to
-        ``access_run``; a decline issues ONE op (usually the miss or
-        upgrade that makes the rest steady state) and offers the rest
-        again, and an accept replays the remaining ops' issue timeline
-        with :func:`~repro.workloads.phases.replay_steps`.  Each op is
-        served by exactly one path, so any accept/decline pattern is
-        bit-identical to the pure per-op interpreter.
-        """
+                   mlp, interval):
+        """Interpret a window of lowered steps op by op through
+        ``access``, mutating the timeline state in place; returns
+        ``now``."""
         heappush = heapq.heappush
         heappop = heapq.heappop
         pending_fill = fill_time_of.get
@@ -329,18 +312,6 @@ class AxcCore:
                 now += arg
                 continue
             while count:
-                if count > 1 and access_run is not None:
-                    latency = access_run(op, count, now,
-                                         max([now, *outstanding]), interval)
-                    if latency is not None:
-                        now, stall, merges = replay_steps(
-                            ((op, arg, count),), latency, latency, now,
-                            outstanding, fill_time_of, mlp, interval)
-                        if stall:
-                            add_mlp_stall(stall)
-                        if merges:
-                            add_mshr_merge(merges)
-                        break
                 # Retire fills that have arrived.
                 while outstanding and outstanding[0] <= now:
                     heappop(outstanding)
@@ -371,11 +342,11 @@ class AxcCore:
         invocations on one tile (pipelined execution).  The generator's
         return value is the completion time.
 
-        Access runs are always expanded op-by-op here: between yields
+        Every op is served through ``access`` here: between yields
         another invocation may mutate shared protocol state (evict a
-        line, expire a lease), so no run guard evaluated at the start of
-        a run could remain valid across its span, and only the port's
-        ``access`` and ``issue_interval`` are used.
+        line, expire a lease), so no phase guard evaluated at the start
+        of a window could remain valid across its span, and only the
+        port's ``access`` and ``issue_interval`` are used.
         """
         mlp = max(1, int(mlp))
         lowered = lowered_trace(trace, self.issue_width)

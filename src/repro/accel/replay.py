@@ -11,7 +11,7 @@ end-state transform of the touched cache footprint — and replays it in
 O(footprint) when a guard proves the starting state matches the
 recording:
 
-``invocation replay -> steady-state phase -> coalesced run -> per-op``
+``invocation replay -> vector window -> steady-state phase -> per-op``
 
 Soundness rests on three pillars:
 

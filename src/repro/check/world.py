@@ -669,9 +669,8 @@ class AccWorld(CheckWorld):
                     (self.labels[agent_index], seq, block_index,
                      self.l0x_value.get(key, INIT)))
             return
-        # Guard declined: the window drops to the per-op path (the
-        # checker skips the middle coalesced rung — same protocol
-        # transitions, so the observable contract is identical).
+        # Guard declined: the window drops to the per-op path, as the
+        # core serves a declined phase.
         observed = INIT
         for _ in range(count):
             ctrl_hit, forward_hit = self._protocol_op(agent_index, kind,

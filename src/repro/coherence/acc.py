@@ -109,10 +109,8 @@ class AccL1XController:
         self._add_energy = self.stats.counter("energy_pj")
         self._add_hits = self.stats.counter("hits")
         self._add_misses = self.stats.counter("misses")
-        # Bulk flusher for run-coalesced write-through updates: the
-        # exact per-event increments of ``write_through``, applied
-        # ``count`` at a time (energy replayed term-by-term, so the
-        # result is bit-identical to ``count`` sequential calls).
+        # The increments of one ``write_through`` in one call; the
+        # L0X's phase ledger charges a phase's updates from its pairs.
         self._flush_write_through = self.stats.registry.flusher([
             (self.stats.qualified("accesses"), 1),
             (self.stats.qualified("energy_pj"), self._write_energy),
@@ -280,15 +278,8 @@ class AccL1XController:
         return self.config.hit_latency
 
     def write_through(self, vblock, now):
-        """A write-through L0X store updates the L1X word directly."""
-        return self.write_through_run(vblock, 1)
-
-    def write_through_run(self, vblock, count):
-        """``count`` write-through store words update the L1X line.
-
-        Bit-identical to ``count`` :meth:`write_through` calls: the line
-        is marked dirty (idempotent) and the counters are flushed in
-        bulk.  Returns the constant per-store latency.
+        """A write-through L0X store updates the L1X word directly: the
+        line is marked dirty.  Returns the constant per-store latency.
         """
         line = self.cache.lookup(block_address(vblock), touch=False)
         if line is None:
@@ -297,7 +288,7 @@ class AccL1XController:
                 agent=self.agent_name, block=block_address(vblock),
                 invariant="write-through-residency")
         line.dirty = True
-        self._flush_write_through(count)
+        self._flush_write_through()
         return self.config.hit_latency
 
     # -- host MESI integration (tile agent interface) -----------------------
@@ -387,10 +378,9 @@ class AccL0XController:
         self._set_mask = self.config.num_sets - 1
         self._fixed_lease = type(self.lease_policy) is FixedLeasePolicy
         self._hit_latency = self.config.hit_latency
-        # Per-event bulk flushers (StatsRegistry.flusher): the full set
-        # of increments one hit makes, applied once per hit or ``count``
-        # at a time on the run-coalesced fast path — bit-identical to
-        # the unbundled handle calls by the flusher contract.
+        # Per-event flushers (StatsRegistry.flusher): the full set of
+        # increments one hit makes, in one call — bit-identical to the
+        # unbundled handle calls by the flusher contract.
         registry = self.stats.registry
         qualify = self.stats.qualified
         energy_name = self.shared_stats.qualified("energy_pj")
@@ -404,7 +394,7 @@ class AccL0XController:
         self._flush_store_hit = registry.flusher(store_hit_pairs)
         # Write-through store hit additionally ships one WT_DATA word
         # over the tile link per store (the L1X-side counters are
-        # flushed by ``write_through_run``).
+        # flushed by ``write_through``).
         self._flush_store_hit_wt = registry.flusher(
             store_hit_pairs
             + msg_counter_pairs(axc_link, Msg.WT_DATA,
@@ -427,7 +417,7 @@ class AccL0XController:
         # The steady-state fast path charges a whole phase from the
         # same pair lists the per-op flushers bind: a write-through
         # store hit additionally carries the L1X-side increments that
-        # ``AccL1XController.write_through_run`` would flush, so the
+        # ``AccL1XController.write_through`` would flush, so the
         # bulk path charges exactly what the per-op path charges.
         if self._write_through:
             store_pairs = self._flush_store_hit_wt.pairs \
@@ -507,7 +497,7 @@ class AccL0XController:
                     return latency
                 self._flush_store_hit_wt()
                 return latency + TILE_LINK_LATENCY + \
-                    self.l1x.write_through_run(vblock, 1)
+                    self.l1x.write_through(vblock, now)
             # Upgrade: a read lease does not permit writes.
             self._add_accesses()
             self._add_energy(self._write_energy)
@@ -526,7 +516,7 @@ class AccL0XController:
             self.stats.add("forward_hits")
             if is_store:
                 # LRU tick the legacy post-install probe made.
-                self.cache.touch_run(line, 1)
+                cache.lookup(vblock)
                 latency += self._record_store(line, now + latency)
             return latency
         self._add_misses()
@@ -535,75 +525,26 @@ class AccL0XController:
         latency += miss_latency
         if is_store:
             # LRU tick the legacy post-install probe made.
-            self.cache.touch_run(line, 1)
+            cache.lookup(vblock)
             latency += self._record_store(line, now + latency)
-        return latency
-
-    def access_run(self, op, count, now, horizon, interval):
-        """Serve a whole same-line access run in one protocol step.
-
-        Returns the constant per-op latency when the steady-state guard
-        holds, or ``None`` to make the core expand the run op-by-op.
-        The guard admits exactly the runs whose per-op expansion would
-        be ``count`` identical hits:
-
-        * fixed lease policy (an adaptive policy observes every access);
-        * line resident with a lease covering every instant the run can
-          reach — ``horizon + count * (latency + interval)`` bounds all
-          per-op clocks, so each per-op ``lease > now`` check passes;
-        * stores: line already in write state (no upgrade inside the
-          run), and under write-through an L1X-resident copy.
-
-        Accounting is flushed in bulk through the prebuilt flushers and
-        the LRU clock advances by ``count`` — bit-identical to the
-        per-op path by construction (``tests/test_oracle.py``
-        and the golden gate are the proof).
-        """
-        if not self._fixed_lease:
-            return None
-        vblock = op.block
-        line = self.cache.lookup(vblock, touch=False)
-        if line is None or line.lease is None:
-            return None
-        latency = self._hit_latency
-        is_store = op.is_store
-        write_through = False
-        if is_store:
-            if line.state != "W":
-                return None
-            if self._write_through:
-                if self.l1x.cache.lookup(vblock, touch=False) is None:
-                    return None
-                latency += TILE_LINK_LATENCY + self.l1x.config.hit_latency
-                write_through = True
-        if line.lease <= horizon + count * (latency + interval):
-            return None
-        self.cache.touch_run(line, count)
-        if not is_store:
-            self._flush_load_hit(count)
-        elif write_through:
-            self._flush_store_hit_wt(count)
-            self.l1x.write_through_run(vblock, count)
-        else:
-            line.dirty = True
-            self._flush_store_hit(count)
         return latency
 
     def phase_quote(self, phase, now, horizon, interval):
         """Serve a whole steady-state phase in one protocol step.
 
-        The phase-engine analogue of :meth:`access_run`: the compiler
-        already proved the window's structure (no first touches, no
-        upgrades — see :mod:`repro.workloads.phases`), and this guard
-        proves the run-time conditions that make the per-op expansion
-        ``phase.mem_ops`` identical hits:
+        The one steady-state guard of the L0X: the compiler already
+        proved the window's structure (no first touches, no upgrades —
+        see :mod:`repro.workloads.phases`; a window may be a single
+        run), and this guard proves the run-time conditions that make
+        the per-op expansion ``phase.mem_ops`` identical hits:
 
         * fixed lease policy (an adaptive policy observes every access);
         * every line resident, its lease covering every instant at
           which the phase can still touch it — ``horizon + last_pos *
           (latency + interval) + compute_cycles`` bounds all per-op
-          clocks up to the line's last access (same induction as the
-          run guard, with the phase's fused compute included), so
+          clocks up to the line's last access (each op's clock is at
+          most the previous one plus its latency and the issue
+          interval, and the phase's fused compute is added), so
           lines retired early in the window need proportionally less
           lease cover;
         * stored lines already in write state, and under write-through
@@ -615,8 +556,8 @@ class AccL0XController:
         (:meth:`~repro.mem.cache.SetAssocCache.touch_phase`), dirty
         marks are applied — and the returned ``(load_lat, store_lat)``
         lets the core replay or bulk-apply the issue timeline.
-        Returns ``None`` to decline (the window drops to the
-        coalesced-run path).
+        Returns ``None`` to decline (the window drops to the per-op
+        path).
         """
         if not self._fixed_lease:
             return None
@@ -749,7 +690,7 @@ class AccL0XController:
     def _compile_window(self, window, interval):
         """Precompile one window's batched-quote state.
 
-        The guard bounds chain the run guard's induction across phases:
+        The guard bounds chain the per-phase guard's induction across phases:
         with ``C_0 = 0`` and ``C_{j+1} = C_j + compute_j + mem_ops_j *
         (max_lat_j + interval)``, every per-op clock (and fill
         completion) reachable by the end of phase ``j`` is at most

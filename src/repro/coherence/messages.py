@@ -127,8 +127,8 @@ def counter_pairs(link, msg, stats=None, counter_prefix=None):
 
 
 def sender(link, msg, stats=None, counter_prefix=None):
-    """Return a bound ``send_n(count=1)`` equivalent to ``count`` calls
-    of ``send(link, msg, stats, counter_prefix)``.
+    """Return a bound ``send_one()`` equivalent to one call of
+    ``send(link, msg, stats, counter_prefix)``.
 
     Hot protocol transitions (epoch requests, data responses, DMA
     traffic) send the *same* message on the *same* link every time; a

@@ -83,9 +83,8 @@ class SharedL1XController:
 
         One hit performs a fixed set of increments (request message,
         cache access/energy/hit, word-sized response); bundling them
-        into one :meth:`StatsRegistry.flusher` serves a whole access —
-        or a whole coalesced run — in a single call, bit-identical to
-        the unbundled sequence.
+        into one :meth:`StatsRegistry.flusher` serves a whole access in
+        a single call, bit-identical to the unbundled sequence.
         """
         self._axc_link = link
         if link is None:
@@ -160,43 +159,18 @@ class SharedL1XController:
             send(self.axc_link, Msg.DATA_WORD, self.stats, "resp")
         return latency + SWITCH_LATENCY
 
-    def access_run(self, op, count, now, horizon, interval):
-        """Serve a whole same-line access run in one protocol step.
-
-        Guard: bank contention not modelled (the contention model
-        observes every access) and line resident.  Nothing else can
-        change mid-run — the run itself is the only activity in the
-        tile — so residency alone guarantees the per-op expansion would
-        be ``count`` identical hits.  Returns the constant per-op
-        latency, or ``None`` to decline.
-        """
-        if self.banks is not None:
-            return None
-        pblock = self.page_table.translate(op.addr) & _BLOCK_MASK
-        line = self.cache.lookup(pblock, touch=False)
-        if line is None:
-            return None
-        self.cache.touch_run(line, count)
-        if op.is_store:
-            line.dirty = True
-            line.state = "M"
-            self._flush_store_hit(count)
-        else:
-            self._flush_load_hit(count)
-        return self._base_latency + SWITCH_LATENCY
-
     def phase_quote(self, phase, now, horizon, interval):
         """Serve a whole steady-state phase in one protocol step.
 
-        Guard: bank contention not modelled and every (physical) line
-        of the phase resident — residency alone guarantees the per-op
-        expansion would be all hits, exactly as in :meth:`access_run`
-        (there are no leases to expire here, and the phase is the only
-        tile activity during its span).  On success the phase ledger
-        charges the program-ordered counter deltas, the LRU clock
-        advances exactly, and stored lines are marked dirty/modified.
-        Latency is the same constant for loads and stores.  Returns
-        ``None`` to decline.
+        Guard: bank contention not modelled (the contention model
+        observes every access) and every (physical) line of the phase
+        resident — residency alone guarantees the per-op expansion
+        would be all hits (there are no leases to expire here, and the
+        phase is the only tile activity during its span).  On success
+        the phase ledger charges the program-ordered counter deltas, the
+        LRU clock advances exactly, and stored lines are marked
+        dirty/modified.  Latency is the same constant for loads and
+        stores.  Returns ``None`` to decline.
         """
         if self.banks is not None:
             return None

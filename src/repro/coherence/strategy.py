@@ -383,9 +383,6 @@ class FreeMemory:
     def access(self, op, now):
         return 1
 
-    def access_run(self, op, count, now, horizon, interval):
-        return 1
-
     def phase_quote(self, phase, now, horizon, interval):
         return 1, 1
 

@@ -17,14 +17,13 @@ cleared in place, never replaced).
 
 :meth:`StatsRegistry.flusher` extends the contract to whole *events*:
 a flusher binds the full list of ``(name, amount)`` increments one
-logical event performs and applies all of them — ``count`` repetitions
-at a time — in a single call.  Flushed results are bit-identical to
-``count`` sequential per-event calls: amounts that are exact in binary
-floating point (integers, and the half-cycle latencies the simulator
-uses) are collapsed to one ``+= amount * count`` add, while energy
-accumulations (``*_pj`` counters, whose per-event amounts are not
-dyadic) are replayed term by term so the rounding sequence matches the
-per-event path exactly.
+logical event performs and applies all of them in a single call.
+Flushed results are bit-identical to the per-increment calls: amounts
+that are exact in binary floating point (integers, and the half-cycle
+latencies the simulator uses) to one counter are pre-summed, while
+energy accumulations (``*_pj`` counters, whose per-event amounts are
+not dyadic) are added term by term so the rounding sequence matches the
+per-increment path exactly.
 """
 
 from collections import defaultdict
@@ -135,63 +134,39 @@ class StatsRegistry:
         return handle
 
     def flusher(self, pairs):
-        """Return a bulk handle applying ``pairs`` of ``(name, amount)``.
+        """Return a handle applying ``pairs`` of ``(name, amount)``.
 
-        The handle is ``flush(count=1)``; calling it is bit-identical to
-        repeating, ``count`` times, one :meth:`add` per pair in order.
-        Repeated names are honoured: non-energy amounts to the same
-        counter are pre-summed (exact — the simulator only feeds dyadic
-        amounts to non-``_pj`` counters), while amounts to ``*_pj``
-        energy counters are replayed in the original per-event order so
-        float rounding matches the sequential path exactly.
+        The handle is ``flush()``; calling it is bit-identical to one
+        :meth:`add` per pair in order.  Repeated names are honoured:
+        non-energy amounts to the same counter are pre-summed (exact —
+        the simulator only feeds dyadic amounts to non-``_pj``
+        counters), while amounts to ``*_pj`` energy counters are added
+        in the original order so float rounding matches the sequential
+        path exactly.
         """
         counters = self._counters
         collapsed = {}
-        replayed = []           # (name, [amounts in per-event order])
-        replay_index = {}
+        replayed = {}           # name -> [amounts in per-event order]
         for name, amount in pairs:
             if name.endswith("_pj"):
-                index = replay_index.get(name)
-                if index is None:
-                    replay_index[name] = len(replayed)
-                    replayed.append((name, [amount]))
-                else:
-                    replayed[index][1].append(amount)
+                replayed.setdefault(name, []).append(amount)
             else:
                 collapsed[name] = collapsed.get(name, 0) + amount
-        collapsed_items = list(collapsed.items())
-        # Pre-flattened single-event list: the count == 1 case is by far
-        # the most frequent (every per-op hit), so it pays one loop over
-        # a prebuilt list instead of the two-level iteration.
-        single_items = collapsed_items + [
-            (name, amount) for name, amounts in replayed
+        items = list(collapsed.items()) + [
+            (name, amount) for name, amounts in replayed.items()
             for amount in amounts]
-        traced = [(name, tuple(amounts)) for name, amounts in replayed]
+        traced = [(name, tuple(amounts))
+                  for name, amounts in replayed.items()]
         trace_cell = self._pj_trace_cell
 
-        def flush(count=1):
+        def flush():
             if traced:
                 trace = trace_cell[0]
                 if trace is not None:
                     for name, amounts in traced:
-                        trace.record(name, amounts, count)
-            if count == 1:
-                for name, amount in single_items:
-                    counters[name] += amount
-                return
-            for name, amount in collapsed_items:
-                counters[name] += amount * count
-            for name, amounts in replayed:
-                value = counters[name]
-                if len(amounts) == 1:
-                    amount = amounts[0]
-                    for _ in range(count):
-                        value += amount
-                else:
-                    for _ in range(count):
-                        for amount in amounts:
-                            value += amount
-                counters[name] = value
+                        trace.record(name, amounts, 1)
+            for name, amount in items:
+                counters[name] += amount
 
         flush.pairs = list(pairs)
         return flush

@@ -175,8 +175,8 @@ class ScratchpadAccessModel:
             config.tile.scratchpad, is_store=True)
         self._add_accesses = self.stats.counter("accesses")
         self._add_energy = self.stats.counter("energy_pj")
-        # Bulk per-event flushers (one call per access or per coalesced
-        # run; bit-identical to the unbundled handles by construction).
+        # Per-event flushers (one call per access; bit-identical to the
+        # unbundled handles by construction).
         registry = self.stats.registry
         qualify = self.stats.qualified
         self._flush_load = registry.flusher([
@@ -201,24 +201,6 @@ class ScratchpadAccessModel:
             self._flush_store()
         else:
             self._flush_load()
-        return self.latency
-
-    def access_run(self, op, count, now, horizon, interval):
-        """Serve a whole same-block access run in one step.
-
-        A scratchpad access has no guard to fail: the block is either
-        staged (constant latency for every op of the run) or the oracle
-        DMA mis-sized the window, which raises exactly as the per-op
-        path's first access would.  State converges after the first op
-        (a store marks the block dirty once), so one ``serve`` plus a
-        bulk counter flush is bit-identical to ``count`` accesses.
-        """
-        is_store = op.is_store
-        self.scratchpad.serve(op.block, is_store)
-        if is_store:
-            self._flush_store(count)
-        else:
-            self._flush_load(count)
         return self.latency
 
     def phase_quote(self, phase, now, horizon, interval):

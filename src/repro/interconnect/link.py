@@ -52,7 +52,7 @@ class Link:
     def counter_pairs(self, num_bytes, is_data):
         """The ``(qualified_name, amount)`` increments one transfer makes.
 
-        Used to prebuild bulk flushers (:meth:`StatsRegistry.flusher`)
+        Used to prebuild flushers (:meth:`StatsRegistry.flusher`)
         for fixed-size messages on hot protocol paths; the energy amount
         is the same ``num_bytes * pj_per_byte`` float the per-call path
         computes, so flushed accounting stays bit-identical.

@@ -109,18 +109,6 @@ class SetAssocCache:
             line.last_use = clock
         return line
 
-    def touch_run(self, line, count):
-        """Apply ``count`` LRU touches to ``line`` in one step.
-
-        Equivalent to ``count`` consecutive ``lookup(line.block)`` calls:
-        the use clock advances by ``count`` and the line records the last
-        tick, so replacement order (and therefore every downstream stat)
-        is identical to the per-access path.  Used by the run-coalescing
-        fast paths.
-        """
-        self._use_clock = clock = self._use_clock + count
-        line.last_use = clock
-
     def touch_phase(self, line_positions, total):
         """Apply a whole phase's LRU touches in one step.
 

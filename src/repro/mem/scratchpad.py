@@ -62,8 +62,7 @@ class Scratchpad:
         Semantically ``fill`` (stores to absent blocks — write-first
         blocks need no DMA staging) followed by ``access``, in one dict
         probe.  Loads to non-resident blocks raise exactly like
-        :meth:`access`; the same call serves one access or a whole
-        coalesced run (repetition changes no further state).
+        :meth:`access`.
         """
         blocks = self._blocks
         if block in blocks:

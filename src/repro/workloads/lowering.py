@@ -28,10 +28,9 @@ Lowered form: ``LoweredTrace.steps`` is a list of 3-tuples,
 * ``(None, latency, 1)`` — a *fused chunk* of adjacent compute ops
   whose dataflow latencies are pre-summed for the core's issue width.
 
-Runs are what the run-coalescing fast path consumes: the core hands a
-whole run to a controller's ``access_run`` entry point and serves it in
-one protocol step when the steady-state guard holds (see
-``docs/simulator.md`` §9).  Fusion sums the per-op latencies
+Runs are the unit the phase compiler (:mod:`repro.workloads.phases`)
+builds steady-state windows from; a lone run can be a phase of its own
+(see ``docs/simulator.md`` §10).  Fusion sums the per-op latencies
 (``max(1, ceil(total / issue_width))`` each) rather than re-deriving a
 latency from the summed activity, so the lowered timeline is
 bit-identical to the legacy interpreter's — the golden-stability gate

@@ -3,19 +3,17 @@
 The Fig-6 kernels spend almost all of their accelerator time in *steady
 state*: the same small set of lines is hit over and over under live
 leases, with no expiry, no upgrade, no conflict miss and no sharer
-activity.  The run-coalescing fast path (``docs/simulator.md`` §9)
-already collapses each same-line run into one protocol step, but it
-still pays one Python-level protocol call per run plus a per-op heap
-replay in :class:`repro.accel.core.AxcCore`.
+activity.  Serving those ops one protocol call at a time is what the
+per-op path of :class:`repro.accel.core.AxcCore` pays.
 
 This module compiles a :class:`~repro.workloads.lowering.LoweredTrace`
-one level further, into a :class:`PhasePlan`: the run stream is
-partitioned into *phases* — maximal windows of steps that are
-steady-state **candidates** (every line was already touched earlier in
-the trace, every store goes to a line already in write state, no
-subclassed op types) — plus fallback gaps covering everything else
-(first touches, upgrades, odd op types).  A phase carries closed-form
-per-phase aggregates:
+into a :class:`PhasePlan`: the run stream is partitioned into *phases*
+— maximal windows of steps that are steady-state **candidates** (every
+line was already touched earlier in the trace, every store goes to a
+line already in write state, no subclassed op types), or single
+same-line runs outside such a window — plus fallback gaps covering
+everything else (the head op of a first touch or upgrade, odd op types,
+lone ops).  A phase carries closed-form per-phase aggregates:
 
 * ``event_seq`` — the program-ordered ``(is_store, count)`` event runs,
   from which a controller's phase ledger
@@ -35,8 +33,8 @@ Whether a phase actually *is* steady state is decided at run time by the
 controller's ``phase_quote`` hook — residency, live leases covering the
 phase's whole span, write states, write-through copies — so the compiler
 stays protocol-agnostic, and a declined quote only costs speed: the core
-falls back to the per-run coalesced path, and below that the per-op
-path, for exactly that window (the fallback ladder, §10 of the docs).
+serves exactly that window on the per-op path (the fallback ladder,
+§10 of the docs).
 
 Plans are memoised on the trace object (keyed by issue width, like
 lowered forms), so they live as long as the prepared workload that
@@ -63,9 +61,10 @@ MAX_PHASE_MEM_OPS = 128
 #: fallback rather than any guard's acceptance.
 MAX_UNLEASED_PHASE_MEM_OPS = 1024
 
-#: Candidate windows with fewer memory ops than this stay on the
-#: coalesced-run path: a quote costs a guard scan plus a ledger flush,
-#: which only pays for itself across several runs.
+#: Candidate windows with fewer memory ops than this are not quoted
+#: whole: a quote costs a guard scan plus a ledger flush, which a
+#: window of a few lone ops does not repay.  Each run of two or more
+#: ops in such a window is still quoted as its own one-run phase.
 MIN_PHASE_MEM_OPS = 4
 
 
@@ -386,7 +385,12 @@ def build_phase(steps):
 
 
 def single_run_phase(op, count):
-    """A one-run phase (used by the model checker's litmus harness)."""
+    """A phase of one run: ``count`` ops of ``op`` on its line.
+
+    How :func:`compile_plan` emits a run that sits outside a full-size
+    window, and how the model checker issues a run event, so both go
+    through the one ``phase_quote`` guard.
+    """
     return build_phase([(op, op.block, count)])
 
 
@@ -397,11 +401,11 @@ def compile_plan(lowered, lease_time=None):
     the trace alone); the run-time guard in each controller's
     ``phase_quote`` proves the rest:
 
-    * a line's **first** touch in the trace is a fallback step — on a
-      cold cache it must miss, and its run-tail still coalesces through
-      ``access_run``;
-    * the first **store** to a line so far only loaded is a fallback
-      step — it must upgrade (acquire a write epoch) under ACC;
+    * a line's **first** touch in the trace is split: its head op is a
+      fallback step (on a cold cache it must miss), and the rest of its
+      run is eligible and opens the next window;
+    * the first **store** to a line so far only loaded is split the same
+      way: its head must upgrade (acquire a write epoch) under ACC;
     * subclassed op types always take the per-op path (unknown
       side effects), exactly as lowering never coalesces them;
     * phases are capped at :data:`MAX_UNLEASED_PHASE_MEM_OPS` ops, or
@@ -409,8 +413,14 @@ def compile_plan(lowered, lease_time=None):
       ops and an estimated span of an eighth of the lease: the shorter
       the window, the larger the fraction of a line's lease period
       during which ACC's cover guard can say yes;
-    * candidate windows shorter than :data:`MIN_PHASE_MEM_OPS` mem ops
-      are folded back into the surrounding fallback gap.
+    * a candidate window shorter than :data:`MIN_PHASE_MEM_OPS` mem ops
+      is not quoted whole: each of its runs of two or more ops becomes
+      a one-run phase (:func:`single_run_phase`), and its other steps
+      fold back into the surrounding fallback gap.
+
+    So every phase has at least :data:`MIN_PHASE_MEM_OPS` mem ops or is
+    one run, and the plan's steps are ``lowered.steps`` with each split
+    head cut off its run.
     """
     span_cap = None
     max_ops = MAX_UNLEASED_PHASE_MEM_OPS
@@ -436,15 +446,20 @@ def compile_plan(lowered, lease_time=None):
     touched = set()
     written = set()
 
+    def emit(phase):
+        nonlocal num_phases, phase_ops
+        if fallback:
+            entries.append((None, tuple(fallback)))
+            del fallback[:]
+        entries.append((phase, phase.steps))
+        num_phases += 1
+        phase_ops += phase.mem_ops
+
     def close_current():
         nonlocal current, current_span, cur_mem_ops, cur_compute, \
-            cur_loads, cur_stores, cur_events, cur_info, cur_order, \
-            num_phases, phase_ops
+            cur_loads, cur_stores, cur_events, cur_info, cur_order
         if cur_mem_ops >= MIN_PHASE_MEM_OPS:
-            if fallback:
-                entries.append((None, tuple(fallback)))
-                del fallback[:]
-            phase = Phase(
+            emit(Phase(
                 tuple(current), cur_mem_ops, cur_compute, cur_loads,
                 cur_stores,
                 tuple((is_store, count)
@@ -452,12 +467,13 @@ def compile_plan(lowered, lease_time=None):
                 tuple((block, record[0], record[1], record[2],
                        record[3], record[4], record[5])
                       for block, record in
-                      ((block, cur_info[block]) for block in cur_order)))
-            entries.append((phase, phase.steps))
-            num_phases += 1
-            phase_ops += cur_mem_ops
-        elif current:
-            fallback.extend(current)
+                      ((block, cur_info[block]) for block in cur_order))))
+        else:
+            for step in current:
+                if step[2] > 1:
+                    emit(single_run_phase(step[0], step[2]))
+                else:
+                    fallback.append(step)
         current = []
         current_span = 0
         cur_mem_ops = 0
@@ -480,28 +496,26 @@ def compile_plan(lowered, lease_time=None):
             cur_compute += arg
             current_span += arg
             continue
-        if type(op) is MemOp:
-            block = arg
-            is_store = op.is_store
-            if block not in touched:
-                touched.add(block)
-                if is_store:
-                    written.add(block)
-                eligible = False
-            elif is_store and block not in written:
+        block = arg
+        is_store = op.is_store
+        if type(op) is not MemOp:
+            touched.add(block)
+            if is_store:
                 written.add(block)
-                eligible = False
-            else:
-                eligible = True
-        else:
-            touched.add(arg)
-            if op.is_store:
-                written.add(arg)
-            eligible = False
-        if not eligible:
             close_current()
             fallback.append(step)
             continue
+        if block not in touched or (is_store and block not in written):
+            # Split: the head op falls back, the tail is eligible.
+            touched.add(block)
+            if is_store:
+                written.add(block)
+            close_current()
+            fallback.append((op, block, 1))
+            count -= 1
+            if not count:
+                continue
+            step = (op, block, count)
         span = 2 * count
         if cur_mem_ops and (
                 cur_mem_ops + count > max_ops

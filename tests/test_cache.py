@@ -179,23 +179,6 @@ def test_install_returns_line_and_victim():
     assert cache.lookup(0, touch=False) is None
 
 
-def test_touch_run_equals_repeated_touching_lookups():
-    a = make_cache(size=512, ways=2)
-    b = make_cache(size=512, ways=2)
-    set_stride = 4 * 64
-    for cache in (a, b):
-        cache.insert(0)
-        cache.insert(set_stride)
-    line = a.lookup(0, touch=False)
-    a.touch_run(line, 3)
-    for _ in range(3):
-        b.lookup(0)
-    # Same LRU outcome and the same internal clock.
-    assert a.insert(2 * set_stride).block == b.insert(
-        2 * set_stride).block == set_stride
-    assert a._use_clock == b._use_clock
-
-
 def test_double_insert_reports_cache_name_and_block():
     cache = make_cache()
     cache.insert(0x1C0)

@@ -1,8 +1,9 @@
 """EXPERIMENTS.md's quoted numbers equal the committed tables.
 
 Every measured value in the "Headline claims" table, the range the
-Figure 6a section quotes and the "Ours" columns of Table 5 must equal
-what the committed full-size tables under ``benchmarks/results/`` say,
+Figure 6a section quotes, the "Ours" columns of Table 5 and the numbers
+the Table 4 and Table 6 sections quote must equal what the committed
+full-size tables under ``benchmarks/results/`` say,
 so a hand-copied number cannot drift from the regenerated one
 unnoticed.
 """
@@ -112,3 +113,49 @@ def test_table5_ours_columns_quote_table5():
         for label, table_column in TABLE5_ROWS.items():
             assert quoted[label][index] == \
                 measured[benchmark][table_column], (column, label)
+
+
+def _section(title):
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    return text.split("## " + title, 1)[1].split("\n## ", 1)[0]
+
+
+def test_table4_measured_column_quotes_table4():
+    """The WT/WB ratio and dirty-block ranges span ``table4.txt``'s
+    columns, and the prose's FFT ratio is its FFT row."""
+    section = _section("Table 4")
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    quoted = {row[0]: row[2] for row in rows[2:]}
+    table = [row for row in _table("table4.txt")
+             if not row[0].startswith("note:")]
+    ratios = [float(row[4]) for row in table]
+    dirty = [float(row[3]) for row in table]
+    assert quoted == {
+        "WT/WB flit ratio": "{:.1f}x–{:.1f}x".format(min(ratios),
+                                                    max(ratios)),
+        "% dirty blocks": "{:.0f}–{:.0f} %".format(min(dirty), max(dirty)),
+    }
+    fft = re.search(r"FFT is\s+the closest call \(([\d.]+)x\)", section)
+    assert fft, "Table 4 section no longer quotes FFT's ratio"
+    assert fft.group(1) == {row[0]: row[4] for row in table}["FFT"]
+
+
+def _count(value):
+    """A lookup count the way EXPERIMENTS.md writes it (28704 -> 28.7K)."""
+    return "{:.1f}K".format(value / 1000) if value >= 1000 else str(value)
+
+
+def test_table6_ranges_quote_table6():
+    """The AX-TLB and AX-RMAP ranges span ``table6.txt``'s columns."""
+    section = _section("Table 6")
+    table = [row for row in _table("table6.txt")
+             if not row[0].startswith("note:")]
+    for column, pattern in (
+            (1, r"track L1X misses \((\S+)–(\S+); paper"),
+            (2, r"rarer in aggregate \((\S+)–(\S+); paper")):
+        quoted = re.search(pattern, section)
+        assert quoted, "Table 6 section no longer quotes " + pattern
+        counts = [int(row[column]) for row in table]
+        assert quoted.groups() == (_count(min(counts)),
+                                   _count(max(counts))), pattern

@@ -1,18 +1,28 @@
 """The phase-plan contract (repro.workloads.phases).
 
 Wherever the compiler cuts, a plan must cover the lowered stream
-exactly, every phase must be a structural steady-state candidate inside
-its caps, and each phase's one-pass aggregates must equal a fresh
-:func:`build_phase` of its steps.  Checked for both plan variants on
-every registry benchmark and on generated traces.
+exactly once each split head is re-joined to its run, every phase must
+be a structural steady-state candidate inside its caps, with at least
+``MIN_PHASE_MEM_OPS`` memory ops or a single run, and each phase's
+one-pass aggregates must equal a fresh :func:`build_phase` of its
+steps.  Checked for both plan variants on every registry benchmark and
+on generated traces.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.accel.core as core_mod
+from repro.accel.core import AxcCore
+from repro.coherence.acc import AccL0XController, AccL1XController
+from repro.coherence.mesi import HostMemorySystem
+from repro.common.config import small_config
+from repro.common.stats import StatsRegistry
 from repro.common.types import AccessType, ComputeOp, FunctionTrace, \
     MemOp, trace_fingerprint
+from repro.interconnect.link import Link
+from repro.mem.tlb import PageTable
 from repro.workloads.lowering import lowered_trace
 from repro.workloads.phases import MAX_PHASE_MEM_OPS, \
     MAX_UNLEASED_PHASE_MEM_OPS, MIN_PHASE_MEM_OPS, build_phase, phase_plan
@@ -30,6 +40,21 @@ def _span(steps):
     return sum(arg if op is None else 2 * count for op, arg, count in steps)
 
 
+def _rejoined(plan):
+    """The plan's steps in program order, each split head (a one-op
+    step of the same op and line as the step after it) re-joined to
+    its tail."""
+    steps = []
+    for _phase, entry_steps in plan.entries:
+        for op, arg, count in entry_steps:
+            if op is not None and steps and steps[-1][0] is op \
+                    and steps[-1][1] == arg and steps[-1][2] == 1:
+                count += 1
+                steps.pop()
+            steps.append((op, arg, count))
+    return steps
+
+
 def check_plan(trace, leased):
     lowered = lowered_trace(trace, ISSUE_WIDTH)
     plan = phase_plan(trace, ISSUE_WIDTH, leased)
@@ -40,8 +65,7 @@ def check_plan(trace, leased):
     else:
         max_ops, span_cap = MAX_UNLEASED_PHASE_MEM_OPS, None
 
-    assert [step for _phase, steps in plan.entries for step in steps] \
-        == list(lowered.steps)
+    assert _rejoined(plan) == list(lowered.steps)
     touched, written = set(), set()
     num_phases = phase_ops = 0
     previous_gap = False
@@ -63,7 +87,8 @@ def check_plan(trace, leased):
         phase_ops += phase.mem_ops
         mem_steps = [index for index, step in enumerate(steps)
                      if step[0] is not None]
-        assert phase.mem_ops >= MIN_PHASE_MEM_OPS
+        one_run = len(steps) == 1 and mem_steps == [0] and steps[0][2] > 1
+        assert phase.mem_ops >= MIN_PHASE_MEM_OPS or one_run
         # Only the step that opens a window can carry it past a cap.
         assert phase.mem_ops <= max_ops or len(mem_steps) == 1
         if span_cap is not None:
@@ -133,3 +158,81 @@ def traces(draw):
 def test_generated_plans_keep_the_contract(trace):
     for leased in (True, False):
         check_plan(trace, leased)
+
+
+BLOCK_A = 0x80000
+BLOCK_B = BLOCK_A + 64
+BLOCK_C = BLOCK_A + 128
+
+
+def _run(kind, base, length):
+    return [MemOp(kind, base + (word % 8) * 8) for word in range(length)]
+
+
+def test_first_touch_run_splits_off_its_head():
+    """An 8-load first touch: its head op misses and falls back, and
+    the 7-op tail is a phase of its own."""
+    ops = _run(AccessType.LOAD, BLOCK_A, 8)
+    trace = FunctionTrace(name="split", benchmark="plan", ops=ops,
+                          lease_time=1000)
+    for leased in (True, False):
+        plan = check_plan(trace, leased)
+        (gap, head), (phase, tail) = plan.entries
+        assert gap is None and head == ((ops[0], BLOCK_A, 1),)
+        assert phase is not None and tail == ((ops[0], BLOCK_A, 7),)
+        assert phase.mem_ops == 7
+
+
+def _acc_l0x(lease):
+    config = small_config()
+    stats = StatsRegistry()
+    mem = HostMemorySystem(config, stats)
+    l1x = AccL1XController(config, mem, PageTable(), stats)
+    mem.tile_agent = l1x
+    l0x = AccL0XController(0, config, l1x, Link("axc_l1x", 0.4, stats),
+                           Link("fwd", 0.1, stats), stats)
+    l0x.invocation_lease = lease
+    return l0x, stats
+
+
+class QuoteLog:
+    """The L0X as a port offering ``access`` and ``phase_quote``,
+    recording each quote's phase length and whether it was granted."""
+
+    def __init__(self, l0x):
+        self.l0x = l0x
+        self.issue_interval = l0x.issue_interval
+        self.leased_phases = l0x.leased_phases
+        self.access = l0x.access
+        self.quoted = []
+
+    def phase_quote(self, phase, now, horizon, interval):
+        quote = self.l0x.phase_quote(phase, now, horizon, interval)
+        self.quoted.append((len(phase.steps), quote is not None))
+        return quote
+
+
+def test_coalesce_off_serves_one_step_phases_per_op(monkeypatch):
+    """``COALESCE_RUNS`` switches the one-step phases alone: off, none
+    is offered to ``phase_quote``, longer phases still are, and the
+    results do not change."""
+    # Each first touch closes a window: [A x7] and [B x2] are one-step
+    # phases, [C x2, compute, A x2, B x2] a four-step one.
+    ops = (_run(AccessType.LOAD, BLOCK_A, 8)
+           + _run(AccessType.STORE, BLOCK_B, 3)
+           + _run(AccessType.LOAD, BLOCK_C, 3) + [ComputeOp(int_ops=8)]
+           + _run(AccessType.LOAD, BLOCK_A, 2)
+           + _run(AccessType.STORE, BLOCK_B, 2))
+    trace = FunctionTrace(name="coalesce", benchmark="plan", ops=ops,
+                          lease_time=1000)
+    outcomes = {}
+    for coalesce in (True, False):
+        monkeypatch.setattr(core_mod, "COALESCE_RUNS", coalesce)
+        l0x, stats = _acc_l0x(trace.lease_time)
+        port = QuoteLog(l0x)
+        end = AxcCore(0, stats).run(trace, 0, port, mlp=4)
+        outcomes[coalesce] = (end, stats.snapshot())
+        longer = [(4, True)]
+        assert port.quoted == ([(1, True)] * 2 + longer if coalesce
+                               else longer)
+    assert outcomes[True] == outcomes[False]
