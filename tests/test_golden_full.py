@@ -3,7 +3,9 @@
 ``test_golden.py`` locks each system's headline numbers; this gate goes
 further and pins the *entire* tiny-size :class:`RunResult` — every stats
 counter (ints and floats, bit-for-bit via ``repr``), both cycle counts
-and the total energy — for the four evaluated systems.  The baseline was
+and the total energy — for the four evaluated systems, plus IDEAL
+(whose phase quotes never decline) and FUSION-PIPE (served op by op
+through ``AxcCore.iter_run``).  The baseline was
 generated from the legacy per-op interpreter, so a pass here is the
 proof that trace lowering (:mod:`repro.workloads.lowering`) is
 semantics-preserving: the compiled hot path may only change *how fast*
@@ -24,8 +26,11 @@ import repro
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_tiny_full.json"
 
-#: The four systems the paper evaluates (Figure 6 + Table 5).
-SYSTEMS = ("SCRATCH", "SHARED", "FUSION", "FUSION-Dx")
+#: The four systems the paper evaluates (Figure 6 + Table 5), plus the
+#: two whose core paths the four do not reach: IDEAL's always-accepted
+#: quotes and FUSION-PIPE's generator-stepped issue loop.
+SYSTEMS = ("SCRATCH", "SHARED", "FUSION", "FUSION-Dx", "IDEAL",
+           "FUSION-PIPE")
 
 
 def _stats_digest(stats):
