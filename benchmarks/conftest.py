@@ -15,7 +15,10 @@ The whole simulation grid is warmed once per session through the
 execution engine (``repro.sim.engine``) — deduplicated, fanned out over
 ``REPRO_JOBS`` workers and backed by the persistent result cache — so
 the individual benches then measure table assembly over cache hits.
-Warm-up and hit/miss telemetry are reported in the terminal summary.
+Only a bench that reads the grid (one that takes the ``size`` fixture)
+triggers the warm-up; ``bench_micro.py`` and ``bench_engine.py`` run
+without it.  Warm-up and hit/miss telemetry are reported in the
+terminal summary.
 """
 
 import os
@@ -34,7 +37,7 @@ _TABLES = []
 _WARM_STATS = {}
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(scope="session")
 def warm_result_cache():
     """Warm the engine's batch once per session (every experiment grid)."""
     from repro.sim.engine import get_engine
@@ -70,7 +73,8 @@ def report():
 
 
 @pytest.fixture
-def size():
+def size(warm_result_cache):
+    """The workload size of a grid bench; the grid is warm by then."""
     return SIZE
 
 

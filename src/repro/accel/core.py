@@ -31,12 +31,12 @@ Hot path: the core never walks the raw heterogeneous ``trace.ops`` list.
 :mod:`repro.workloads.lowering` compiles each trace once into a flat
 stream of ``(mem_op, block, count)`` / ``(None, latency, 1)`` tuples —
 adjacent compute ops pre-fused, line addresses pre-aligned, consecutive
-same-line same-kind memory ops grouped into *access runs* — and both
-:meth:`AxcCore.run` (tight loop) and :meth:`AxcCore.iter_run`
-(generator, for the pipelined scheduler) interpret that stream with no
-per-op type dispatch.  The two paths are exercised for equivalence by
-``tests/test_lowering.py`` and both are pinned bit-identical to the
-legacy interpreter by ``tests/test_golden_full.py``.
+same-line same-kind memory ops grouped into *access runs* — and one
+issue loop, :meth:`AxcCore._interpret`, interprets that stream with no
+per-op type dispatch.  :meth:`AxcCore.run` drives it over whole
+windows; :meth:`AxcCore.iter_run` (generator, for the pipelined
+scheduler) drives it one op at a time.  Both are pinned bit-identical
+to the legacy interpreter by ``tests/test_golden_full.py``.
 
 Steady-state phases: the phase compiler (:mod:`repro.workloads.phases`)
 partitions the stream into windows that are steady-state *candidates*,
@@ -46,11 +46,10 @@ offered to the protocol controller as a whole (``horizon`` is ``max(now,
 max(outstanding))``, an upper bound for lease guards): a non-``None``
 quote means every op of the phase was served and accounted in one
 protocol step (bulk phase ledger, exact LRU advance), and the core
-applies a :class:`~repro.workloads.phases.PhaseTimeline` cached per
-relative entry state (outstanding fills expressed as clock offsets) in
-O(1) — a cache miss replays the issue timeline once, with no protocol
-calls, and serves every later entry with the same signature.  A
-declined quote serves the window per-op: the fallback ladder of
+advances its live timeline state past the phase: in closed form
+(:meth:`~repro.workloads.phases.Phase.advance`) when one applies, else
+through the issue loop at the quoted latencies, with no protocol calls.
+A declined quote serves the window per-op: the fallback ladder of
 ``docs/simulator.md`` §10.  ``STEADY_PHASES`` (read at call time)
 toggles the path for equivalence testing, and ``COALESCE_RUNS`` the
 one-step phases alone (off: they are served per-op).
@@ -185,7 +184,7 @@ class AxcCore:
                                          max([now, *outstanding]), interval)
                     if quoted is not None:
                         load_lat, store_lat = quoted
-                        now = self._apply_phase_timeline(
+                        now = self._apply_phase(
                             phase, load_lat, store_lat, now,
                             outstanding, fill_time_of, mlp, interval)
                         index += 1
@@ -199,50 +198,28 @@ class AxcCore:
         self._record(lowered, now - start_time, charge_invocation)
         return now
 
-    def _apply_phase_timeline(self, phase, load_lat, store_lat, now,
-                              outstanding, fill_time_of, mlp, interval):
-        """Apply one accepted phase's cached timeline; returns ``now``.
+    def _apply_phase(self, phase, load_lat, store_lat, now, outstanding,
+                     fill_time_of, mlp, interval):
+        """Apply one accepted phase's issue timeline; returns ``now``.
 
         Retire fills that have arrived — exactly what the per-op path's
-        next access would do first — then express the surviving entry
-        state relative to the clock.  Every simulator time is dyadic,
-        so relative replay + rebase is bit-identical to absolute
-        replay, and the timeline cache hits whenever this phase was
-        ever entered with the same relative state.
+        next access would do first — then let the phase's closed form
+        advance the live state, or, outside its regimes, run the per-op
+        loop over the phase's steps at the quoted latencies, which
+        charges MLP stalls and MSHR merges exactly as per-op service
+        would.
         """
         heappop = heapq.heappop
         while outstanding and outstanding[0] <= now:
             heappop(outstanding)
-        rel_heap = tuple(sorted(
-            completion - now for completion in outstanding))
-        rel_fills = ()
-        if fill_time_of:
-            # Only pending fills of the phase's own lines can merge;
-            # older entries (<= now) can never beat a future completion.
-            pending = fill_time_of.get
-            items = None
-            for info in phase.block_info:
-                fill = pending(info[0])
-                if fill is not None and fill > now:
-                    if items is None:
-                        items = []
-                    items.append((info[0], fill - now,
-                                  info[5], info[6]))
-            if items is not None:
-                rel_fills = tuple(items)
-        timeline = phase.timeline(load_lat, store_lat, mlp, interval,
-                                  rel_heap, rel_fills)
-        if timeline.mlp_stall:
-            self._add_mlp_stall(timeline.mlp_stall)
-        if timeline.mshr_merges:
-            self._add_mshr_merge(timeline.mshr_merges)
-        for block, rel in timeline.fill_residue:
-            fill_time_of[block] = now + rel
-        # Entries at or below the exit clock would be drained before
-        # they could ever matter, so the pruned exit heap (sorted
-        # ascending — a valid heap) replaces the live one wholesale.
-        outstanding[:] = [now + rel for rel in timeline.exit_heap]
-        return now + timeline.cycles
+        exit_now = phase.advance(now, load_lat, store_lat, mlp, interval,
+                                 outstanding, fill_time_of)
+        if exit_now is not None:
+            return exit_now
+        return self._interpret(
+            phase.steps, now, outstanding, fill_time_of,
+            lambda op, _now: store_lat if op.is_store else load_lat,
+            mlp, interval)
 
     def _run_window(self, window, batch_fn, now, outstanding,
                     fill_time_of, mlp, interval):
@@ -255,14 +232,12 @@ class AxcCore:
         stall-free closed-form regime — per-op latency at most the
         issue interval, entry heap below the MLP limit, no pending
         fill of any window line — the whole prefix collapses to one
-        array-derived total (``cum_mem_ops * interval + cum_compute``)
-        with the entry heap filtered once against the exit clock:
+        array-derived total (``cum_mem_ops * interval + cum_compute``):
         bit-identical to chaining the per-phase closed forms, because
         each phase's closed form neither stalls, merges, writes fills,
-        nor admits new heap entries, so the conditions persist and the
-        survivors of the chained prunes are exactly the entries beyond
-        the final clock.  Otherwise each accepted phase applies its
-        cached timeline in order, exactly as the per-phase rung would.
+        nor admits new heap entries, so the conditions persist.
+        Otherwise each accepted phase is applied in order, exactly as
+        the per-phase rung would.
         """
         quoted = batch_fn(window, now, max([now, *outstanding]), interval)
         if quoted is None:
@@ -285,23 +260,19 @@ class AxcCore:
                     break
         if bulk:
             now += window.prefix_cycles(accepted, interval)
-            if outstanding:
-                outstanding[:] = sorted(
-                    completion for completion in outstanding
-                    if completion > now)
         else:
             phases = window.phases
             for j in range(accepted):
-                now = self._apply_phase_timeline(
+                now = self._apply_phase(
                     phases[j], load_lat, store_lat, now, outstanding,
                     fill_time_of, mlp, interval)
         return accepted, now
 
     def _interpret(self, steps, now, outstanding, fill_time_of, access,
                    mlp, interval):
-        """Interpret a window of lowered steps op by op through
-        ``access``, mutating the timeline state in place; returns
-        ``now``."""
+        """The core's one issue loop: interpret a window of lowered
+        steps op by op through ``access``, mutating the timeline state
+        in place; returns ``now``."""
         heappush = heapq.heappush
         heappop = heapq.heappop
         pending_fill = fill_time_of.get
@@ -337,10 +308,11 @@ class AxcCore:
 
     def iter_run(self, trace, start_time, port, mlp,
                  charge_invocation=True):
-        """Generator form of :meth:`run`: yields the local clock after
-        every memory-op issue, so a scheduler can interleave several
-        invocations on one tile (pipelined execution).  The generator's
-        return value is the completion time.
+        """Generator form of :meth:`run`: steps :meth:`_interpret` one
+        memory op at a time and yields the local clock after each issue,
+        so a scheduler can interleave several invocations on one tile
+        (pipelined execution).  The generator's return value is the
+        completion time.
 
         Every op is served through ``access`` here: between yields
         another invocation may mutate shared protocol state (evict a
@@ -355,32 +327,15 @@ class AxcCore:
         now = start_time
         outstanding = []
         fill_time_of = {}
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        pending_fill = fill_time_of.get
-        add_mlp_stall = self._add_mlp_stall
-        add_mshr_merge = self._add_mshr_merge
+        interpret = self._interpret
         for op, arg, count in lowered.steps:
             if op is None:
                 now += arg
                 continue
+            single = ((op, arg, 1),)
             for _ in range(count):
-                while outstanding and outstanding[0] <= now:
-                    heappop(outstanding)
-                if len(outstanding) >= mlp:
-                    earliest = heappop(outstanding)
-                    if earliest > now:
-                        add_mlp_stall(earliest - now)
-                        now = earliest
-                latency = access(op, now)
-                completion = now + latency
-                pending = pending_fill(arg)
-                if pending is not None and pending > completion:
-                    completion = pending
-                    add_mshr_merge()
-                fill_time_of[arg] = completion
-                heappush(outstanding, completion)
-                now += interval
+                now = interpret(single, now, outstanding, fill_time_of,
+                                access, mlp, interval)
                 yield now
         if outstanding:
             now = max(now, max(outstanding))

@@ -16,8 +16,7 @@ recording:
 Soundness rests on three pillars:
 
 * **Translation invariance.**  All simulated times are dyadic rationals
-  and the interpreter never branches on absolute time (the phase
-  engine's rebased timelines already rely on this), so a recording made
+  and the interpreter never branches on absolute time, so a recording made
   at ``t0`` replays exactly at ``t0'`` once every *relative* time in
   the starting state matches.  Time fields in signatures are therefore
   stored relative to the invocation start.

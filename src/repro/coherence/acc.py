@@ -555,7 +555,7 @@ class AccL0XController:
         the LRU clock advances exactly
         (:meth:`~repro.mem.cache.SetAssocCache.touch_phase`), dirty
         marks are applied — and the returned ``(load_lat, store_lat)``
-        lets the core replay or bulk-apply the issue timeline.
+        lets the core apply the issue timeline at those latencies.
         Returns ``None`` to decline (the window drops to the per-op
         path).
         """

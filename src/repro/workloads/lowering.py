@@ -69,10 +69,10 @@ class LoweredTrace:
     """The compiled form of one :class:`FunctionTrace` invocation."""
 
     __slots__ = ("name", "issue_width", "steps", "mem_ops", "int_ops",
-                 "fp_ops", "compute_chunks", "mem_runs", "coalesced_ops")
+                 "fp_ops", "compute_chunks")
 
     def __init__(self, name, issue_width, steps, mem_ops, int_ops,
-                 fp_ops, compute_chunks, mem_runs=0, coalesced_ops=0):
+                 fp_ops, compute_chunks):
         self.name = name
         self.issue_width = issue_width
         self.steps = steps
@@ -80,16 +80,11 @@ class LoweredTrace:
         self.int_ops = int_ops
         self.fp_ops = fp_ops
         self.compute_chunks = compute_chunks
-        #: Number of mem steps (access runs, singletons included).
-        self.mem_runs = mem_runs
-        #: Memory ops inside runs of length >= 2 (the coalescable ops).
-        self.coalesced_ops = coalesced_ops
 
     def __repr__(self):
-        return ("LoweredTrace({}, iw={}, {} steps: {} mem in {} runs "
-                "+ {} chunks)".format(
-                    self.name, self.issue_width, len(self.steps),
-                    self.mem_ops, self.mem_runs, self.compute_chunks))
+        return ("LoweredTrace({}, iw={}, {} steps: {} mem + {} chunks)"
+                .format(self.name, self.issue_width, len(self.steps),
+                        self.mem_ops, self.compute_chunks))
 
 
 def lower_trace(trace, issue_width):
@@ -116,8 +111,6 @@ def lower_trace(trace, issue_width):
     int_ops = 0
     fp_ops = 0
     compute_chunks = 0
-    mem_runs = 0
-    coalesced_ops = 0
     for op in trace.ops:
         if type(op) is MemOp:
             if pending_latency:
@@ -131,9 +124,6 @@ def lower_trace(trace, issue_width):
                     run_count += 1
                     continue
                 append((run_op, run_block, run_count))
-                mem_runs += 1
-                if run_count > 1:
-                    coalesced_ops += run_count
             run_op = op
             run_block = block
             run_kind = op.kind
@@ -143,9 +133,6 @@ def lower_trace(trace, issue_width):
                 # A compute chunk's latency interleaves with the run's
                 # timeline, so it terminates the run.
                 append((run_op, run_block, run_count))
-                mem_runs += 1
-                if run_count > 1:
-                    coalesced_ops += run_count
                 run_op = None
             int_ops += op.int_ops
             fp_ops += op.fp_ops
@@ -159,19 +146,12 @@ def lower_trace(trace, issue_width):
                 compute_chunks += 1
             if run_op is not None:
                 append((run_op, run_block, run_count))
-                mem_runs += 1
-                if run_count > 1:
-                    coalesced_ops += run_count
                 run_op = None
             mem_ops += 1
             append((op, op.block, 1))
-            mem_runs += 1
         elif isinstance(op, ComputeOp):
             if run_op is not None:
                 append((run_op, run_block, run_count))
-                mem_runs += 1
-                if run_count > 1:
-                    coalesced_ops += run_count
                 run_op = None
             int_ops += op.int_ops
             fp_ops += op.fp_ops
@@ -181,15 +161,11 @@ def lower_trace(trace, issue_width):
         # it, and (costing nothing) it does not break an open run.
     if run_op is not None:
         append((run_op, run_block, run_count))
-        mem_runs += 1
-        if run_count > 1:
-            coalesced_ops += run_count
     if pending_latency:
         append((None, pending_latency, 1))
         compute_chunks += 1
     return LoweredTrace(trace.name, issue_width, steps, mem_ops,
-                        int_ops, fp_ops, compute_chunks, mem_runs,
-                        coalesced_ops)
+                        int_ops, fp_ops, compute_chunks)
 
 
 def lowered_trace(trace, issue_width):

@@ -23,11 +23,15 @@ lone ops).  A phase carries closed-form per-phase aggregates:
 * ``block_info`` — per distinct line: load/store counts, the kind of
   its first access, and the ordinal of its *last* access, from which a
   controller validates the guard and applies the exact LRU advance
-  (:meth:`repro.mem.cache.SetAssocCache.touch_phase`);
-* cached :class:`PhaseTimeline` objects — the core's issue timeline
-  (cycle advance, MLP stalls, MSHR merges, exit-heap residue) for a
-  given ``(load latency, store latency, mlp, issue interval)``,
-  computed once per quoted latency signature and then applied in O(1).
+  (:meth:`repro.mem.cache.SetAssocCache.touch_phase`), and the issue
+  offset of its first access, from which :meth:`Phase.advance` proves
+  that a pending fill cannot merge.
+
+An accepted phase's issue timeline is applied on the core's live state:
+:meth:`Phase.advance` covers the two regimes with a closed form (every
+latency at most the issue interval, or one uniform latency above it),
+and the core's own per-op loop, at the quoted latencies, covers the
+rest.
 
 Whether a phase actually *is* steady state is decided at run time by the
 controller's ``phase_quote`` hook — residency, live leases covering the
@@ -68,59 +72,17 @@ MAX_UNLEASED_PHASE_MEM_OPS = 1024
 MIN_PHASE_MEM_OPS = 4
 
 
-class PhaseTimeline:
-    """The core-side issue timeline of one phase, relative to its entry.
-
-    Computed by replaying the phase's steps against the *relative* entry
-    state the core observed — the outstanding-fill completions and the
-    phase lines' pending fills, each expressed as an offset from the
-    entry clock (see :meth:`Phase.timeline`).  Because every simulator
-    time is a dyadic rational (integer latencies, issue intervals of 1
-    or 1.5), relative replay plus an absolute rebase is bit-identical to
-    replaying in absolute time, so one cached timeline serves every
-    phase entry that presents the same relative state.
-
-    ``cycles`` is the issue-clock advance (the per-op path bumps ``now``
-    to the last completion only at invocation end, never mid-trace, so
-    the timeline must not either).  ``exit_heap`` and ``fill_residue``
-    carry only completions strictly beyond the exit clock: entries at or
-    below it would be drained before their values could ever matter.
-    """
-
-    __slots__ = ("cycles", "mlp_stall", "mshr_merges", "exit_heap",
-                 "fill_residue")
-
-    def __init__(self, cycles, mlp_stall, mshr_merges, exit_heap,
-                 fill_residue):
-        self.cycles = cycles
-        self.mlp_stall = mlp_stall
-        self.mshr_merges = mshr_merges
-        self.exit_heap = exit_heap
-        self.fill_residue = fill_residue
-
-    def __repr__(self):
-        return ("PhaseTimeline(cycles={}, stall={}, merges={}, "
-                "residue={})".format(self.cycles, self.mlp_stall,
-                                     self.mshr_merges,
-                                     len(self.fill_residue)))
-
-
-#: A phase's timeline cache never outgrows this; pathological entry
-#: states (never-repeating relative heaps) fall back to uncached replay
-#: instead of accumulating unbounded memory.
-MAX_TIMELINE_CACHE = 256
-
-
 class Phase:
     """One steady-state candidate window of a lowered trace."""
 
     __slots__ = ("steps", "mem_ops", "compute_cycles", "num_loads",
-                 "num_stores", "event_seq", "block_info", "_timelines")
+                 "num_stores", "event_seq", "block_info")
 
     def __init__(self, steps, mem_ops, compute_cycles, num_loads,
                  num_stores, event_seq, block_info):
-        #: The lowered steps this phase covers (the fallback ladder
-        #: re-interprets exactly these on a declined quote).
+        #: The lowered steps this phase covers (the core interprets
+        #: exactly these on a declined quote, or at the quoted
+        #: latencies when no closed form applies).
         self.steps = steps
         self.mem_ops = mem_ops
         self.compute_cycles = compute_cycles
@@ -137,31 +99,30 @@ class Phase:
         #: memory ops and fused compute cycles *preceding* its first
         #: access — ``first_mem * interval + first_comp`` is the exact
         #: stall-free issue offset of that access, which is what lets
-        #: the timeline's transparency test bound a pending entry fill
+        #: :meth:`advance`'s transparency test bound a pending entry fill
         #: against the first completion that could merge with it.
         self.block_info = block_info
-        #: ``(load_lat, store_lat, mlp, interval, rel_heap, rel_fills)
-        #: -> PhaseTimeline``.
-        self._timelines = {}
 
-    def timeline(self, load_lat, store_lat, mlp, interval, rel_heap=(),
-                 rel_fills=()):
-        """Return the cached issue timeline for one entry signature.
+    def advance(self, now, load_lat, store_lat, mlp, interval, outstanding,
+                fill_time_of):
+        """Apply this phase's issue timeline in closed form on the core's
+        live state; returns the exit clock, or ``None`` when only the
+        per-op loop is exact.
 
-        ``rel_heap`` is the core's outstanding-completion heap at phase
-        entry and ``rel_fills`` the pending fills of this phase's lines,
-        both as sorted offsets from the entry clock (only values > 0 can
-        affect the replay; the caller prunes the rest).  The replay
-        materialises that state, so the cached result is exact for
-        *every* entry presenting the same relative signature — in steady
-        state, each phase sees one or two signatures per configuration.
+        ``outstanding`` (the completion heap, drained to ``now``) and
+        ``fill_time_of`` are the core's own.  Completions at or below
+        the exit clock are left out of both: the per-op loop drains
+        them before they could matter, and a fill at or below the clock
+        never merges.  Every simulator time is dyadic (integer
+        latencies, issue intervals of 1 or 1.5), so the closed forms
+        are bit-identical to the per-op loop at the quoted latencies.
         """
-        key = (load_lat, store_lat, mlp, interval, rel_heap, rel_fills)
-        cached = self._timelines.get(key)
-        if cached is None:
-            min_lat = load_lat if self.num_loads else store_lat
-            if self.num_loads and self.num_stores and store_lat < min_lat:
-                min_lat = store_lat
+        num_loads = self.num_loads
+        num_stores = self.num_stores
+        min_lat = load_lat if num_loads else store_lat
+        if num_loads and num_stores and store_lat < min_lat:
+            min_lat = store_lat
+        if fill_time_of:
             # A pending entry fill can only merge with the *first*
             # completion of its own line — later completions are even
             # larger — and in every stall-free regime that completion
@@ -169,59 +130,34 @@ class Phase:
             # plus the op's latency (at least ``min_lat``).  A fill at
             # or below that instant can therefore never merge: it is
             # timing-transparent and simply gets overwritten by the
-            # phase's own completions, which the residue walk tracks.
-            fills_transparent = all(
-                offset <= first_mem * interval + first_comp + min_lat
-                for _, offset, first_mem, first_comp in rel_fills)
-            if (fills_transparent and len(rel_heap) < mlp
-                    and (not self.num_loads or load_lat <= interval)
-                    and (not self.num_stores or store_lat <= interval)):
-                # Closed form: with every per-op latency at most the
-                # issue interval, each phase completion retires before
-                # the next issue, so the heap never holds more than the
-                # (shrinking) entry residue plus one live fill — below
-                # the MLP limit throughout (the entry residue starts
-                # below it), hence no stalls; a block's pending fill is
-                # always its previous completion, already in the past,
-                # hence no merges; and every phase completion is at or
-                # below the exit clock, so only entry-heap stragglers
-                # can survive it.
-                cycles = self.mem_ops * interval + self.compute_cycles
-                cached = PhaseTimeline(
-                    cycles, 0, 0,
-                    tuple(entry for entry in rel_heap
-                          if entry > cycles), ())
-            elif fills_transparent and interval > 0:
-                # Transparent fills are bounded by their line's first
-                # completion, which the phase then overwrites — and the
-                # residue walk reports exactly the lines whose *last*
-                # completion outlives the exit clock, so the stale
-                # entry values the closed form leaves behind match the
-                # replay's prune bit for bit.
-                cached = self._uniform_closed_form(
-                    load_lat, store_lat, mlp, interval, rel_heap)
-            if cached is None:
-                outstanding = list(rel_heap)
-                fill_time_of = {block: offset
-                                for block, offset, _, _ in rel_fills}
-                exit_now, stall, merges = replay_steps(
-                    self.steps, load_lat, store_lat, 0, outstanding,
-                    fill_time_of, mlp, interval)
-                exit_heap = tuple(sorted(
-                    completion for completion in outstanding
-                    if completion > exit_now))
-                residue = tuple(
-                    (block, completion)
-                    for block, completion in fill_time_of.items()
-                    if completion > exit_now)
-                cached = PhaseTimeline(exit_now, stall, merges,
-                                       exit_heap, residue)
-            if len(self._timelines) < MAX_TIMELINE_CACHE:
-                self._timelines[key] = cached
-        return cached
+            # phase's own completions.
+            pending = fill_time_of.get
+            for block, _, _, _, _, first_mem, first_comp in self.block_info:
+                fill = pending(block)
+                if fill is not None and fill - now > \
+                        first_mem * interval + first_comp + min_lat:
+                    return None
+        cycles = self.mem_ops * interval + self.compute_cycles
+        if (len(outstanding) < mlp
+                and (not num_loads or load_lat <= interval)
+                and (not num_stores or store_lat <= interval)):
+            # Stall-free: with every per-op latency at most the issue
+            # interval, each phase completion retires before the next
+            # issue, so the heap never holds more than the (shrinking)
+            # entry residue plus one live fill — below the MLP limit
+            # throughout, hence no stalls; a block's pending fill is
+            # always its previous completion, already in the past,
+            # hence no merges; and every phase completion is at or
+            # below the exit clock, so nothing is written.
+            return now + cycles
+        if interval > 0:
+            return self._uniform_closed_form(
+                now, load_lat, store_lat, mlp, interval, outstanding,
+                fill_time_of, cycles)
+        return None
 
-    def _uniform_closed_form(self, load_lat, store_lat, mlp, interval,
-                             rel_heap):
+    def _uniform_closed_form(self, now, load_lat, store_lat, mlp, interval,
+                             outstanding, fill_time_of, cycles):
         """Closed form for a uniform per-op latency above the interval.
 
         The SHARED L1X regime (and write-through store-only phases):
@@ -235,9 +171,9 @@ class Phase:
         below the MLP limit, no stalls either: the clock advances by
         exactly ``interval`` per op plus the compute.  Only the last few
         completions outlive the exit clock; a backward walk over the
-        tail reconstructs the exit heap and fill residue exactly.
-        Returns ``None`` when mixed latencies or the stall guard demand
-        the exact replay.
+        tail pushes them and records each line's last one.  Returns
+        ``None`` when mixed latencies or the stall guard demand the
+        per-op loop.
         """
         lat = load_lat if self.num_loads else store_lat
         if self.num_loads and self.num_stores and store_lat != load_lat:
@@ -245,17 +181,15 @@ class Phase:
         live_spacings = 0
         while (live_spacings + 1) * interval < lat:
             live_spacings += 1
-        for j in range(len(rel_heap) + live_spacings + 2):
-            earliest_issue = j * interval
+        for j in range(len(outstanding) + live_spacings + 2):
+            earliest_issue = now + j * interval
             occupancy = min(j, live_spacings)
-            for entry in rel_heap:
+            for entry in outstanding:
                 if entry > earliest_issue:
                     occupancy += 1
             if occupancy >= mlp:
                 return None
-        cycles = self.mem_ops * interval + self.compute_cycles
-        tail = [entry for entry in rel_heap if entry > cycles]
-        residue = []
+        exit_now = now + cycles
         seen = set()
         after = 0
         for op, arg, count in reversed(self.steps):
@@ -269,16 +203,15 @@ class Phase:
                 break
             if arg not in seen:
                 seen.add(arg)
-                residue.append((arg, cycles + room - interval))
+                fill_time_of[arg] = exit_now + room - interval
             m = 1
             while m <= count and m * interval < room:
-                tail.append(cycles + room - m * interval)
+                heapq.heappush(outstanding, exit_now + room - m * interval)
                 m += 1
             after += count * interval
             if after + interval >= lat:
                 break
-        return PhaseTimeline(cycles, 0, 0, tuple(sorted(tail)),
-                             tuple(residue))
+        return exit_now
 
     def __repr__(self):
         return "Phase({} steps, {} mem ops, {} blocks)".format(
@@ -301,47 +234,6 @@ class PhasePlan:
     def __repr__(self):
         return "PhasePlan({} entries, {} phases, {} phase ops)".format(
             len(self.entries), self.num_phases, self.phase_ops)
-
-
-def replay_steps(steps, load_lat, store_lat, now, outstanding,
-                 fill_time_of, mlp, interval):
-    """Replay ``steps`` against the core's live timeline state.
-
-    The exact per-op issue loop of ``AxcCore.run`` — drains, MLP pops,
-    MSHR merges — with the protocol call replaced by the two constant
-    latencies a quote established.  Mutates ``outstanding`` and
-    ``fill_time_of`` in place; returns ``(now, mlp_stall, merges)``.
-    Used both to precompute a :class:`PhaseTimeline` (fresh state) and
-    as the exact fallback apply when fills are still outstanding at
-    phase entry (live state).
-    """
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    pending_fill = fill_time_of.get
-    stall = 0
-    merges = 0
-    for op, arg, count in steps:
-        if op is None:
-            now += arg
-            continue
-        latency = store_lat if op.is_store else load_lat
-        for _ in range(count):
-            while outstanding and outstanding[0] <= now:
-                heappop(outstanding)
-            if len(outstanding) >= mlp:
-                earliest = heappop(outstanding)
-                if earliest > now:
-                    stall += earliest - now
-                    now = earliest
-            completion = now + latency
-            pending = pending_fill(arg)
-            if pending is not None and pending > completion:
-                completion = pending
-                merges += 1
-            fill_time_of[arg] = completion
-            heappush(outstanding, completion)
-            now += interval
-    return now, stall, merges
 
 
 def build_phase(steps):

@@ -178,8 +178,8 @@ class VectorWindow:
         guard bound arrays, whole-window ledger programs — depends only
         on config-derived scalars, so it lives on the window, shared
         across every controller instance and simulation run touching
-        this trace (the same long-lived placement as
-        ``Phase._timelines``).  Without this, each system construction
+        this trace (as long-lived as the compiled plan itself).
+        Without this, each system construction
         recompiled every window it quoted, which cost more than the
         batched evaluation saved on real Figure-6 workloads.
         """
