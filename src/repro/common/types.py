@@ -53,6 +53,12 @@ class MemOp:
         array: name of the logical array touched; used by the working-set
             and sharing analyses (Table 1 %SHR, Figure 6d) and by the
             FUSION-Dx forwarding post-pass.
+
+    Ops are read-only by contract.  One object stands for every equal
+    access: a build makes one per distinct access
+    (:class:`~repro.workloads.builder.TraceBuilder`) and a loaded trace
+    one per distinct record, so one object may fill many positions of
+    many traces.
     """
 
     kind: AccessType

@@ -20,13 +20,21 @@ from ..common.types import (
 
 
 class Array:
-    """A named array in the workload's virtual address space."""
+    """A named array in the workload's virtual address space.
+
+    ``loads`` and ``stores`` map an element index to the one
+    :class:`MemOp` that :class:`TraceBuilder` records for every access
+    of that kind to that element.  An array belongs to one build, so
+    two builds share no op object.
+    """
 
     def __init__(self, name, base, length, elem_size):
         self.name = name
         self.base = base
         self.length = length
         self.elem_size = elem_size
+        self.loads = {}
+        self.stores = {}
 
     @property
     def size_bytes(self):
@@ -86,7 +94,15 @@ class AddressSpace:
 
 
 class TraceBuilder:
-    """Records one application's execution as a :class:`WorkloadTrace`."""
+    """Records one application's execution as a :class:`WorkloadTrace`.
+
+    Each distinct op is one object per build: every load of ``a[i]``
+    appends one shared :class:`MemOp`, every store of ``a[i]`` another,
+    and every compute chunk with equal counts one shared
+    :class:`ComputeOp`.  A kernel invoked repeatedly thus makes an op
+    object per distinct access, not per dynamic access.  Ops are frozen
+    and read-only by contract, so the sharing is invisible to readers.
+    """
 
     def __init__(self, benchmark, space):
         self.benchmark = benchmark
@@ -95,6 +111,7 @@ class TraceBuilder:
         self._current = None
         self._pending_int = 0
         self._pending_fp = 0
+        self._computes = {}     # (int_ops, fp_ops) -> ComputeOp
 
     # -- function scoping ---------------------------------------------------
 
@@ -128,18 +145,23 @@ class TraceBuilder:
 
     def _flush_compute(self):
         if self._pending_int or self._pending_fp:
-            self._current.ops.append(
-                ComputeOp(int_ops=self._pending_int,
-                          fp_ops=self._pending_fp))
+            key = (self._pending_int, self._pending_fp)
+            op = self._computes.get(key)
+            if op is None:
+                op = self._computes[key] = ComputeOp(*key)
+            self._current.ops.append(op)
             self._pending_int = 0
             self._pending_fp = 0
 
     def load(self, array, index):
         """Record a load of ``array[index]``."""
         self._require_open()
-        self._current.ops.append(MemOp(
-            AccessType.LOAD, array.addr(index), array.elem_size,
-            array.name))
+        op = array.loads.get(index)
+        if op is None:
+            op = array.loads[index] = MemOp(
+                AccessType.LOAD, array.addr(index), array.elem_size,
+                array.name)
+        self._current.ops.append(op)
 
     def store(self, array, index):
         """Record a store to ``array[index]``.
@@ -150,9 +172,12 @@ class TraceBuilder:
         """
         self._require_open()
         self._flush_compute()
-        self._current.ops.append(MemOp(
-            AccessType.STORE, array.addr(index), array.elem_size,
-            array.name))
+        op = array.stores.get(index)
+        if op is None:
+            op = array.stores[index] = MemOp(
+                AccessType.STORE, array.addr(index), array.elem_size,
+                array.name)
+        self._current.ops.append(op)
 
     def compute(self, int_ops=0, fp_ops=0):
         """Accumulate arithmetic activity into the current dataflow chunk.

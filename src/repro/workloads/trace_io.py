@@ -15,7 +15,10 @@ Format: one JSON object per line.
   ``["P", label]`` for phase markers.
 
 The format is line-diffable, streams (no whole-file parse needed to
-inspect), and round-trips exactly — property-tested.
+inspect), and round-trips exactly — property-tested.  Loading makes one
+op object per distinct record, as :class:`~repro.workloads.builder.
+TraceBuilder` makes one per distinct access, so a loaded trace
+prepares like a built one.
 """
 
 import json
@@ -85,6 +88,7 @@ def load(fileobj):
         raise TraceError("unsupported trace format version {!r}".format(
             header.get("version")))
     invocations = []
+    decoded = {}            # tuple(record) -> its one op object
     for line in fileobj:
         record = json.loads(line)
         if isinstance(record, dict):
@@ -94,7 +98,11 @@ def load(fileobj):
         else:
             if not invocations:
                 raise TraceError("op record before any function header")
-            invocations[-1].ops.append(_decode_op(record))
+            key = tuple(record)
+            op = decoded.get(key)
+            if op is None:
+                op = decoded[key] = _decode_op(record)
+            invocations[-1].ops.append(op)
     return WorkloadTrace(
         benchmark=header["benchmark"],
         invocations=invocations,

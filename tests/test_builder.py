@@ -7,9 +7,9 @@ from repro.common.types import AccessType, ComputeOp, MemOp
 from repro.workloads.builder import AddressSpace, TraceBuilder
 
 
-def make_builder():
+def make_builder(benchmark="bench"):
     space = AddressSpace()
-    return space, TraceBuilder("bench", space)
+    return space, TraceBuilder(benchmark, space)
 
 
 def test_alloc_assigns_disjoint_ranges():
@@ -135,3 +135,75 @@ def test_workload_with_open_function_rejected():
     tb.begin_function("f")
     with pytest.raises(TraceError):
         tb.workload()
+
+
+# -- one op object per distinct access ------------------------------------
+
+
+def _op_ids(workload):
+    return {id(op) for trace in workload.invocations for op in trace.ops}
+
+
+def test_equal_accesses_in_one_build_are_one_object():
+    space, tb = make_builder()
+    a = space.alloc("a", 8)
+    b = space.alloc("b", 8)
+    with tb.function("f"):
+        tb.load(a, 1)
+        tb.compute(int_ops=2)
+        tb.store(a, 1)
+    with tb.function("g"):
+        tb.load(a, 1)
+        tb.load(a, 2)
+        tb.load(b, 1)
+        tb.compute(int_ops=2)
+        tb.store(a, 1)
+    f, g = tb.workload().invocations
+    assert g.ops[0] is f.ops[0]          # load a[1]
+    assert g.ops[3] is f.ops[1]          # ComputeOp(2, 0)
+    assert g.ops[4] is f.ops[2]          # store a[1]
+    assert f.ops[2] is not f.ops[0]      # same index, other kind
+    assert g.ops[1] is not g.ops[0]      # same array, other index
+    assert g.ops[2] is not g.ops[0]      # same index, other array
+    assert g.ops[2].addr == b.addr(1)
+
+
+def test_two_builds_are_equal_and_share_no_op_object():
+    from repro.workloads.kernels import fft
+    first, _ = fft.build_workload(make_builder, n=16, iterations=2)
+    second, _ = fft.build_workload(make_builder, n=16, iterations=2)
+    assert first == second
+    assert not _op_ids(first) & _op_ids(second)
+
+
+def test_out_of_range_index_still_raises_after_valid_accesses():
+    space, tb = make_builder()
+    arr = space.alloc("a", 4)
+    tb.begin_function("f")
+    for index in range(4):
+        tb.load(arr, index)
+        tb.store(arr, index)
+    for emit in (tb.load, tb.store):
+        for index in (4, -1):
+            with pytest.raises(TraceError):
+                emit(arr, index)
+
+
+def test_fft_builds_one_memop_per_distinct_access(monkeypatch):
+    """FFT at n=512 x16 repeats each step 16 times: its MemOps are
+    bounded by its distinct (is_store, addr) pairs, not by its
+    dynamic accesses."""
+    from repro.workloads.kernels import fft
+    built = []
+    post_init = MemOp.__post_init__
+
+    def counting(op):
+        built.append(1)
+        post_init(op)
+
+    monkeypatch.setattr(MemOp, "__post_init__", counting)
+    workload, _ = fft.build_workload(make_builder, n=512, iterations=16)
+    ops = [op for trace in workload.invocations for op in trace.ops
+           if isinstance(op, MemOp)]
+    distinct = {(op.is_store, op.addr) for op in ops}
+    assert len(built) <= len(distinct) < len(ops)

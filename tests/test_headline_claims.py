@@ -2,8 +2,8 @@
 
 Every measured value in the "Headline claims" table, the range the
 Figure 6a section quotes, the "Ours" columns of Table 5 and the numbers
-the Table 4 and Table 6 sections quote must equal what the committed
-full-size tables under ``benchmarks/results/`` say,
+the Table 1, Table 4 and Table 6 sections quote must equal what the
+committed full-size tables under ``benchmarks/results/`` say,
 so a hand-copied number cannot drift from the regenerated one
 unnoticed.
 """
@@ -159,3 +159,62 @@ def test_table6_ranges_quote_table6():
         counts = [int(row[column]) for row in table]
         assert quoted.groups() == (_count(min(counts)),
                                    _count(max(counts))), pattern
+
+
+def _table1():
+    """``{(benchmark, function): row}`` of ``table1.txt``; benchmark
+    labels lose their trailing dot (``DISP.`` -> ``DISP``)."""
+    return {(row[0].rstrip("."), row[1]): row for row in _table("table1.txt")
+            if not row[0].startswith("note:")}
+
+
+def test_table1_prose_quotes_table1():
+    """Every measured number the Table 1 section quotes is rendered
+    from ``table1.txt``: %SHR (column 8), %FP (4) and MLP (7)."""
+    table = _table1()
+    section = " ".join(_section("Table 1").split())
+    shr = {key: float(row[8]) for key, row in table.items()}
+    mlp = {key: float(row[7]) for key, row in table.items()}
+    fp = {key: float(row[4]) for key, row in table.items()}
+    pipelines = {}
+    for key in table:
+        pipelines.setdefault(key[0], []).append(key)
+    middle = [shr[key] for keys in pipelines.values() for key in keys[1:-1]]
+    assert shr[("HIST", "rgb2hsl")] <= sorted(shr.values())[len(shr) // 4]
+    assert fp[("SUSAN", "bright")] == max(fp.values())
+    butterflies = {table[("FFT", "step{}".format(step))][4]
+                   for step in range(2, 7)}
+    assert len(butterflies) == 1
+    outliers = sorted((key for key in table if mlp[key] > 10),
+                      key=mlp.get, reverse=True)
+    assert len(outliers) == 2
+    inliers = [key for key in table if mlp[key] <= 10]
+    lowest = min(table, key=mlp.get)
+    fragments = [
+        "middle functions share {:.0f}–{:.0f} % of their blocks".format(
+            min(middle), max(middle)),
+        "(suite average {:.0f} %".format(sum(shr.values()) / len(shr)),
+        "`rgb2hsl` sits at the low end of sharing ({} %)".format(
+            table[("HIST", "rgb2hsl")][8]),
+        "HIST's colour conversions ({} % and {} %)".format(
+            table[("HIST", "rgb2hsl")][4], table[("HIST", "hsl2rgb")][4]),
+        "FFT butterflies ({} %)".format(butterflies.pop()),
+        "SUSAN `bright` shares all of its blocks ({} %)".format(
+            table[("SUSAN", "bright")][8]),
+        "its {} % FP is the suite's highest".format(
+            table[("SUSAN", "bright")][4]),
+        "MLP spans {}–{} (paper".format(table[lowest][7],
+                                       table[outliers[0]][7]),
+        "{} of the {} functions sit at {}–{}".format(
+            len(inliers), len(table), table[lowest][7],
+            table[max(inliers, key=mlp.get)][7]),
+        "The two outliers are {} `{}` ({}) and {} `{}` ({})".format(
+            *(cell for key in outliers
+              for cell in (key[0], key[1], table[key][7]))),
+    ]
+    for fragment in fragments:
+        assert fragment in section, fragment
+        section = section.replace(fragment, "")
+    # What is left quotes only the paper and file names.
+    assert re.findall(r"\d[\d.]*\d|\d", section) == \
+        ["1", "50", "1.0", "5.7", "5"]

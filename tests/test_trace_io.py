@@ -124,3 +124,28 @@ def test_roundtrip_property(functions):
         [t.name for t in workload.invocations]
     assert [t.ops for t in back.invocations] == \
         [t.ops for t in workload.invocations]
+    _assert_one_object_per_distinct_op(back)
+
+
+def _assert_one_object_per_distinct_op(workload):
+    ops = [op for trace in workload.invocations for op in trace.ops]
+    assert len({id(op) for op in ops}) == len(set(ops))
+
+
+def test_repeated_records_load_as_one_object():
+    """Equal records decode to one op object, as the builder makes one
+    per distinct access, even when the dumped ops were copies."""
+    workload = WorkloadTrace(benchmark="b", invocations=[
+        FunctionTrace(name=name, benchmark="b", ops=[
+            MemOp(AccessType.LOAD, 64), ComputeOp(int_ops=1),
+            MemOp(AccessType.STORE, 64), PhaseMarker("x"),
+            MemOp(AccessType.LOAD, 64)])
+        for name in ("f", "g")])
+    back = roundtrip(workload)
+    assert [t.ops for t in back.invocations] == \
+        [t.ops for t in workload.invocations]
+    f, g = back.invocations
+    assert f.ops[0] is f.ops[4] is g.ops[0]
+    assert f.ops[1] is g.ops[1]
+    assert f.ops[2] is not f.ops[0]
+    _assert_one_object_per_distinct_op(back)
