@@ -61,7 +61,7 @@ def test_micro_core_run_lowered(benchmark):
     """Ops/sec of the production core over the pre-lowered stream."""
     trace = perf_smoke.make_trace()
     core = AxcCore(0, StatsRegistry())
-    lowered_trace(trace, core.issue_width)  # lower once, outside the loop
+    lowered_trace(trace)  # lower once, outside the loop
 
     benchmark(lambda: core.run(trace, 0, perf_smoke.FLAT_PORT, mlp=4))
 

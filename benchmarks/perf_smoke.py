@@ -49,6 +49,7 @@ from types import SimpleNamespace
 from repro.accel.core import AxcCore
 from repro.common.stats import StatsRegistry
 from repro.common.types import AccessType, ComputeOp, FunctionTrace, MemOp
+from repro.workloads.lowering import ISSUE_WIDTH
 
 BASELINE_PATH = (pathlib.Path(__file__).parent / "results"
                  / "perf_baseline.json")
@@ -112,7 +113,6 @@ class Port:
 
     def __init__(self, controller, *entry_points):
         self.issue_interval = controller.issue_interval
-        self.leased_phases = controller.leased_phases
         for name in ("access",) + entry_points:
             setattr(self, name, getattr(controller, name))
 
@@ -137,7 +137,7 @@ def legacy_iter_run(core, trace, start_time, access_fn, mlp,
         if isinstance(op, ComputeOp):
             int_ops += op.int_ops
             fp_ops += op.fp_ops
-            now += max(1, math.ceil(op.total / core.issue_width))
+            now += max(1, math.ceil(op.total / ISSUE_WIDTH))
             continue
         if not isinstance(op, MemOp):
             continue

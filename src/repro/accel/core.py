@@ -7,7 +7,7 @@ aggressive non-blocking memory interface.  This model reproduces that
 behaviour at trace granularity:
 
 * compute chunks advance time by their dataflow-limited latency
-  (activity / issue width);
+  (activity / ``ISSUE_WIDTH``);
 * memory operations overlap up to the function's memory-level
   parallelism (MLP), with MSHR-style merging of accesses to a block
   whose fill is already outstanding;
@@ -20,12 +20,11 @@ SCRATCH scratchpad model or IDEAL's
 now) -> latency`` and either or both of the fast entry points
 ``phase_quote`` and ``phase_quote_batch`` (below, and
 ``docs/simulator.md`` §9).  The core reads each once per call; a
-missing one means the port does not offer that rung.  Two class
-attributes complete a port: ``issue_interval``, the cycles between
+missing one means the port does not offer that rung.  One class
+attribute completes a port: ``issue_interval``, the cycles between
 memory-op issues (1 when absent; 1.5 when every op crosses the SHARED
-tile switch), and ``leased_phases``, which compiled plan variant the
-phase rungs serve (ACC's lease-capped windows, or the long structural
-windows an expiry-free controller absorbs whole).
+tile switch).  Every port is served the same compiled plan: whether a
+window is steady is the port's own run-time decision.
 
 Hot path: the core never walks the raw heterogeneous ``trace.ops`` list.
 :mod:`repro.workloads.lowering` compiles each trace once into a flat
@@ -108,9 +107,8 @@ def _vector_available():
 class AxcCore:
     """One fixed-function accelerator's datapath and memory interface."""
 
-    def __init__(self, axc_id, stats, issue_width=4):
+    def __init__(self, axc_id, stats):
         self.axc_id = axc_id
-        self.issue_width = issue_width
         self.stats = stats.scope("axc")
         self._core_stats = stats.scope("axc.core{}".format(axc_id))
         # Bound counter handles: dotted names resolved once, not per op.
@@ -133,7 +131,7 @@ class AxcCore:
                 stays configured across DMA windows.
         """
         mlp = max(1, int(mlp))
-        lowered = lowered_trace(trace, self.issue_width)
+        lowered = lowered_trace(trace)
         outstanding = []            # heap of completion times
         fill_time_of = {}           # block -> outstanding completion
         access = port.access
@@ -143,14 +141,14 @@ class AxcCore:
             if STEADY_PHASES else None
         plan = None
         if phase_quote is not None:
-            plan = phase_plan(trace, self.issue_width, port.leased_phases)
+            plan = phase_plan(trace)
             if not plan.num_phases:
                 plan = None
         vplan = None
         quote_batch = getattr(port, "phase_quote_batch", None)
         if plan is not None and quote_batch is not None \
                 and VECTOR_PHASES and _vector_available():
-            vplan = vector_plan(trace, self.issue_width, port.leased_phases)
+            vplan = vector_plan(trace)
             if vplan is not None and not vplan.windows:
                 vplan = None
         if plan is None:
@@ -321,7 +319,7 @@ class AxcCore:
         port's ``access`` and ``issue_interval`` are used.
         """
         mlp = max(1, int(mlp))
-        lowered = lowered_trace(trace, self.issue_width)
+        lowered = lowered_trace(trace)
         access = port.access
         interval = getattr(port, "issue_interval", 1)
         now = start_time

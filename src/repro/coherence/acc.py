@@ -339,10 +339,9 @@ class AccL0XController:
     """One accelerator's private L0X under ACC; the core's memory port
     on a FUSION tile."""
 
-    #: Port constants (:mod:`repro.accel.core`): one issue per cycle
-    #: into the private L0X, and lease-capped phase windows.
+    #: Port constant (:mod:`repro.accel.core`): one issue per cycle
+    #: into the private L0X.
     issue_interval = 1
-    leased_phases = True
 
     def __init__(self, axc_id, config, l1x, axc_link, fwd_link, stats,
                  lease_policy=None):
@@ -908,19 +907,6 @@ class AccL0XController:
         return [line.block for line in self.cache.dirty_lines()]
 
     # -- FUSION-Dx write forwarding ------------------------------------------
-
-    def forward_line(self, vblock, consumer, now, lease=None):
-        """Push a resident dirty line directly into ``consumer``'s L0X.
-
-        Returns False when the line is absent or clean.  ``lease`` is
-        accepted for API symmetry but ignored: the forward carries the
-        line's *already requested* epoch (see :meth:`forward_line_obj`).
-        """
-        line = self.cache.lookup(vblock, touch=False)
-        if line is None or not line.dirty:
-            return False
-        self.forward_line_obj(line, consumer, now)
-        return True
 
     def forward_line_obj(self, line, consumer, now):
         """Forward ``line`` (possibly already evicted here) to ``consumer``.

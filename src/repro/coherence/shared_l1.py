@@ -36,10 +36,9 @@ class SharedL1XController:
     """A MESI-participating shared L1X with no private caches below it;
     the core's memory port in the SHARED design."""
 
-    #: Port constants (:mod:`repro.accel.core`): every op crosses the
-    #: tile switch, and no lease caps a phase window.
+    #: Port constant (:mod:`repro.accel.core`): every op crosses the
+    #: tile switch.
     issue_interval = ISSUE_INTERVAL
-    leased_phases = False
 
     def __init__(self, config, host_mem, page_table, stats,
                  agent_name=TILE):

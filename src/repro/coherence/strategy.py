@@ -378,7 +378,6 @@ class FreeMemory:
     """
 
     issue_interval = 1
-    leased_phases = False
 
     def access(self, op, now):
         return 1

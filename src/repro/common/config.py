@@ -212,9 +212,6 @@ class PolicyConfig:
     #: Training passes for in-process bandit training; with untried-
     #: first exploration each arm needs one pass before greedy pays.
     episodes: int = 5
-    #: Always record InvocationTelemetry (learning selectors record
-    #: regardless; this forces it for static/schedule runs).
-    record_telemetry: bool = False
 
     def __post_init__(self):
         # JSON overrides hand sequences in as lists; keep the frozen

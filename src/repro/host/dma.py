@@ -160,10 +160,9 @@ class ScratchpadAccessModel:
     """Charges scratchpad access latency/energy during window execution;
     the core's memory port in the SCRATCH design."""
 
-    #: Port constants (:mod:`repro.accel.core`): a local store issues
-    #: one op per cycle, and no lease caps a phase window.
+    #: Port constant (:mod:`repro.accel.core`): a local store issues
+    #: one op per cycle.
     issue_interval = 1
-    leased_phases = False
 
     def __init__(self, config, scratchpad, stats):
         self.scratchpad = scratchpad

@@ -188,20 +188,16 @@ class BanditSelector(Selector):
 def make_selector(policy, workload):
     """Build the selector a :class:`PolicyConfig` describes."""
     if policy.selector == "static":
-        selector = StaticSelector(policy.static_strategy)
-    elif policy.selector == "schedule":
-        selector = ScheduleSelector(policy.schedule)
-    elif policy.selector == "bandit":
-        selector = BanditSelector(policy.strategies, workload,
-                                  epsilon=policy.epsilon, ucb_c=0.0,
-                                  seed=policy.seed)
-    elif policy.selector == "ucb":
-        selector = BanditSelector(policy.strategies, workload,
-                                  epsilon=0.0, ucb_c=policy.ucb_c,
-                                  seed=policy.seed)
-    else:
-        raise ConfigError(
-            "unknown policy selector {!r}".format(policy.selector))
-    if policy.record_telemetry:
-        selector.records_telemetry = True
-    return selector
+        return StaticSelector(policy.static_strategy)
+    if policy.selector == "schedule":
+        return ScheduleSelector(policy.schedule)
+    if policy.selector == "bandit":
+        return BanditSelector(policy.strategies, workload,
+                              epsilon=policy.epsilon, ucb_c=0.0,
+                              seed=policy.seed)
+    if policy.selector == "ucb":
+        return BanditSelector(policy.strategies, workload,
+                              epsilon=0.0, ucb_c=policy.ucb_c,
+                              seed=policy.seed)
+    raise ConfigError(
+        "unknown policy selector {!r}".format(policy.selector))

@@ -278,7 +278,7 @@ def prepared_workload(benchmark, size, cache=None, epoch=0):
     """Return a workload with its derived hot-path artifacts attached.
 
     "Prepared" means the one-time per-trace work is already done: every
-    invocation trace is lowered for the default AXC issue width and the
+    invocation trace is lowered and its plans compiled, and the
     DDG-derived per-function MLP table is memoised on the workload.
     Prepared workloads live in memory only, in ``cache``'s index under
     ``(benchmark, size, epoch)``.  The registry's build memo and the

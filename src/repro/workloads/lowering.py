@@ -6,9 +6,9 @@ legacy interpreter paid per-op costs that never change between runs:
 ``op.block`` property calls (re-aligning the same address every run) and
 ``math.ceil`` latency arithmetic for every individual
 :class:`~repro.common.types.ComputeOp`.  Lowering performs that work
-*once* per (trace, issue width) and emits a flat, pre-resolved stream
-that :class:`repro.accel.core.AxcCore` interprets with no type dispatch
-at all — the same separation of trace construction from evaluation that
+*once* per trace and emits a flat, pre-resolved stream that
+:class:`repro.accel.core.AxcCore` interprets with no type dispatch at
+all — the same separation of trace construction from evaluation that
 Aladdin's pre-lowered DDG traces and LoopTree use.
 
 Lowered form: ``LoweredTrace.steps`` is a list of 3-tuples,
@@ -26,21 +26,21 @@ Lowered form: ``LoweredTrace.steps`` is a list of 3-tuples,
   coalesce — subclassed op types always form single-op runs and take
   the per-op path.
 * ``(None, latency, 1)`` — a *fused chunk* of adjacent compute ops
-  whose dataflow latencies are pre-summed for the core's issue width.
+  whose dataflow latencies are pre-summed for :data:`ISSUE_WIDTH`.
 
 Runs are the unit the phase compiler (:mod:`repro.workloads.phases`)
 builds steady-state windows from; a lone run can be a phase of its own
 (see ``docs/simulator.md`` §10).  Fusion sums the per-op latencies
-(``max(1, ceil(total / issue_width))`` each) rather than re-deriving a
+(``max(1, ceil(total / ISSUE_WIDTH))`` each) rather than re-deriving a
 latency from the summed activity, so the lowered timeline is
 bit-identical to the legacy interpreter's — the golden-stability gate
 (``tests/test_golden_full.py``) is the proof.  Phase markers carry no
 cost in the core model and are dropped from the stream (SCRATCH
 consumes them during window partitioning, before lowering).
 
-Lowered traces are memoised on the trace object itself (keyed by issue
-width), so every run of a prepared workload in a process — and every
-pool worker forked after the engine prepared it — reuses them.
+Each trace memoises its one lowered form on itself, so every run of a
+prepared workload in a process — and every pool worker forked after
+the engine prepared it — reuses it.
 
 Kernels record a fresh trace object per invocation, and a kernel
 invoked repeatedly records equal ones: FFT at n=512 x16 runs 96
@@ -61,20 +61,22 @@ import math
 from ..common.collector import collector_paused
 from ..common.types import ComputeOp, MemOp, trace_fingerprint
 
-#: Attribute used to memoise lowered forms on a trace object.
-_CACHE_ATTR = "_lowered_by_width"
+#: Operations the accelerator datapath issues per cycle.
+ISSUE_WIDTH = 4
+
+#: Attribute used to memoise the lowered form on a trace object.
+_CACHE_ATTR = "_lowered"
 
 
 class LoweredTrace:
     """The compiled form of one :class:`FunctionTrace` invocation."""
 
-    __slots__ = ("name", "issue_width", "steps", "mem_ops", "int_ops",
-                 "fp_ops", "compute_chunks")
+    __slots__ = ("name", "steps", "mem_ops", "int_ops", "fp_ops",
+                 "compute_chunks")
 
-    def __init__(self, name, issue_width, steps, mem_ops, int_ops,
-                 fp_ops, compute_chunks):
+    def __init__(self, name, steps, mem_ops, int_ops, fp_ops,
+                 compute_chunks):
         self.name = name
-        self.issue_width = issue_width
         self.steps = steps
         self.mem_ops = mem_ops
         self.int_ops = int_ops
@@ -82,19 +84,19 @@ class LoweredTrace:
         self.compute_chunks = compute_chunks
 
     def __repr__(self):
-        return ("LoweredTrace({}, iw={}, {} steps: {} mem + {} chunks)"
-                .format(self.name, self.issue_width, len(self.steps),
-                        self.mem_ops, self.compute_chunks))
+        return ("LoweredTrace({}, {} steps: {} mem + {} chunks)"
+                .format(self.name, len(self.steps), self.mem_ops,
+                        self.compute_chunks))
 
 
-def lower_trace(trace, issue_width):
-    """Compile ``trace`` for ``issue_width``; one pass, no memoisation.
+def lower_trace(trace):
+    """Compile ``trace``; one pass, no memoisation.
 
     Semantics-preserving by construction: every MemOp appears in program
     order inside a maximal same-line same-kind access run with its
     precomputed line address; every run of adjacent ComputeOps becomes
     one chunk whose latency is the *sum* of the per-op
-    ``max(1, ceil(total / issue_width))`` latencies the legacy
+    ``max(1, ceil(total / ISSUE_WIDTH))`` latencies the legacy
     interpreter would have charged; every other op kind (phase markers)
     advances nothing and is dropped, exactly as the legacy loop skipped
     it.
@@ -136,7 +138,7 @@ def lower_trace(trace, issue_width):
                 run_op = None
             int_ops += op.int_ops
             fp_ops += op.fp_ops
-            pending_latency += max(1, ceil(op.total / issue_width))
+            pending_latency += max(1, ceil(op.total / ISSUE_WIDTH))
         elif isinstance(op, MemOp):
             # Subclassed op types take the slow (but equivalent) path:
             # always a single-op run, never merged with neighbours.
@@ -155,7 +157,7 @@ def lower_trace(trace, issue_width):
                 run_op = None
             int_ops += op.int_ops
             fp_ops += op.fp_ops
-            pending_latency += max(1, ceil(op.total / issue_width))
+            pending_latency += max(1, ceil(op.total / ISSUE_WIDTH))
         # Anything else (PhaseMarker, foreign op types) costs nothing in
         # the core model — dropped, as the legacy interpreter skipped
         # it, and (costing nothing) it does not break an open run.
@@ -164,47 +166,42 @@ def lower_trace(trace, issue_width):
     if pending_latency:
         append((None, pending_latency, 1))
         compute_chunks += 1
-    return LoweredTrace(trace.name, issue_width, steps, mem_ops,
-                        int_ops, fp_ops, compute_chunks)
+    return LoweredTrace(trace.name, steps, mem_ops, int_ops, fp_ops,
+                        compute_chunks)
 
 
-def lowered_trace(trace, issue_width):
-    """Return the memoised lowered form of ``trace`` for ``issue_width``.
+def lowered_trace(trace):
+    """Return the memoised lowered form of ``trace``.
 
     The compiled stream is cached in the trace object's ``__dict__``
     (traces are read-only to the simulator once built), so repeat
     invocations reuse it.
     """
-    cache = trace.__dict__.get(_CACHE_ATTR)
-    if cache is None:
-        cache = {}
-        trace.__dict__[_CACHE_ATTR] = cache
-    lowered = cache.get(issue_width)
+    lowered = trace.__dict__.get(_CACHE_ATTR)
     if lowered is None:
-        lowered = lower_trace(trace, issue_width)
-        cache[issue_width] = lowered
+        lowered = trace.__dict__[_CACHE_ATTR] = lower_trace(trace)
     return lowered
 
 
 def invalidate_lowered(trace):
     """Drop a trace's memoised derived forms (after mutating its ops).
 
-    Clears the lowered streams, the compiled steady-state phase and
-    vector plans (which are derived from the lowered streams), the
-    block-set caches (:meth:`~repro.common.types.FunctionTrace.touched_blocks`
-    / ``dirty_blocks``), the DMA windows and the replay token —
+    Clears the lowered stream, the compiled steady-state phase and
+    vector plans (which are derived from it), the block-set caches
+    (:meth:`~repro.common.types.FunctionTrace.touched_blocks` /
+    ``dirty_blocks``), the DMA windows and the replay token —
     everything derived from ``trace.ops``.  Equal invocations of a
     prepared workload are one object, so mutating it changes every
     slot it fills.
     """
-    for attr in (_CACHE_ATTR, "_phase_plans", "_vector_plans",
+    for attr in (_CACHE_ATTR, "_phase_plan", "_vector_plan",
                  "_touched_blocks", "_dirty_blocks", "_dma_windows",
                  "_replay_token"):
         trace.__dict__.pop(attr, None)
 
 
-def lower_workload(workload, issue_width=4):
-    """Pre-lower every invocation of ``workload`` (default issue width).
+def lower_workload(workload):
+    """Pre-lower every invocation of ``workload``.
 
     Used by the execution engine to prepare a workload once per
     process (pool workers inherit it by fork), so runs interpret
@@ -227,10 +224,8 @@ def lower_workload(workload, issue_width=4):
             if source is not trace:
                 invocations[index] = source
                 continue
-            lowered_trace(trace, issue_width)
-            phase_plan(trace, issue_width, leased=True)
-            phase_plan(trace, issue_width, leased=False)
+            lowered_trace(trace)
+            phase_plan(trace)
             if vector.HAVE_NUMPY:
-                vector.vector_plan(trace, issue_width, leased=True)
-                vector.vector_plan(trace, issue_width, leased=False)
+                vector.vector_plan(trace)
     return workload

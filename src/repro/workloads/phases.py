@@ -40,10 +40,11 @@ stays protocol-agnostic, and a declined quote only costs speed: the core
 serves exactly that window on the per-op path (the fallback ladder,
 §10 of the docs).
 
-Plans are memoised on the trace object (keyed by issue width, like
-lowered forms), so they live as long as the prepared workload that
-holds the trace; :func:`repro.workloads.lowering.invalidate_lowered`
-evicts them together with the lowered stream.
+Each trace memoises its one plan on itself, like its lowered form, and
+every port is served that plan.  It lives as long as the prepared
+workload that holds the trace, and
+:func:`repro.workloads.lowering.invalidate_lowered` evicts it together
+with the lowered stream.
 """
 
 import heapq
@@ -51,19 +52,14 @@ import heapq
 from ..common.types import MemOp
 from .lowering import lowered_trace
 
-#: Attribute used to memoise compiled plans on a trace object.
-_PLAN_ATTR = "_phase_plans"
+#: Attribute used to memoise the compiled plan on a trace object.
+_PLAN_ATTR = "_phase_plan"
 
-#: A *leased* phase never spans more memory ops than this: the longer
-#: the window, the harder ACC's lease-cover guard is to satisfy, so
-#: past this point extra length only costs declines.
-MAX_PHASE_MEM_OPS = 128
-
-#: An *unleased* phase (SHARED / SCRATCH / IDEAL — no lease to expire)
-#: can be much longer: the only risk is that a single evicted line
-#: declines the whole window, so this caps the blast radius of one
-#: fallback rather than any guard's acceptance.
-MAX_UNLEASED_PHASE_MEM_OPS = 1024
+#: A phase never spans more memory ops than this.  One guard failure
+#: (an evicted line, a lease that ends inside the window) declines the
+#: whole window, so this caps the blast radius of one fallback; the
+#: guard itself decides at run time whether a window is steady.
+MAX_PHASE_MEM_OPS = 1024
 
 #: Candidate windows with fewer memory ops than this are not quoted
 #: whole: a quote costs a guard scan plus a ledger flush, which a
@@ -286,7 +282,7 @@ def single_run_phase(op, count):
     return build_phase([(op, op.block, count)])
 
 
-def compile_plan(lowered, lease_time=None):
+def compile_plan(lowered):
     """Partition a lowered step stream into a :class:`PhasePlan`.
 
     Compile-time eligibility is *structural* (what can be proven from
@@ -300,11 +296,8 @@ def compile_plan(lowered, lease_time=None):
       way: its head must upgrade (acquire a write epoch) under ACC;
     * subclassed op types always take the per-op path (unknown
       side effects), exactly as lowering never coalesces them;
-    * phases are capped at :data:`MAX_UNLEASED_PHASE_MEM_OPS` ops, or
-      — when ``lease_time`` is given — at :data:`MAX_PHASE_MEM_OPS`
-      ops and an estimated span of an eighth of the lease: the shorter
-      the window, the larger the fraction of a line's lease period
-      during which ACC's cover guard can say yes;
+    * phases are capped at :data:`MAX_PHASE_MEM_OPS` ops (read at
+      call time);
     * a candidate window shorter than :data:`MIN_PHASE_MEM_OPS` mem ops
       is not quoted whole: each of its runs of two or more ops becomes
       a one-run phase (:func:`single_run_phase`), and its other steps
@@ -314,11 +307,7 @@ def compile_plan(lowered, lease_time=None):
     one run, and the plan's steps are ``lowered.steps`` with each split
     head cut off its run.
     """
-    span_cap = None
-    max_ops = MAX_UNLEASED_PHASE_MEM_OPS
-    if lease_time:
-        span_cap = max(MIN_PHASE_MEM_OPS * 4, lease_time // 8)
-        max_ops = MAX_PHASE_MEM_OPS
+    max_ops = MAX_PHASE_MEM_OPS
     entries = []
     num_phases = 0
     phase_ops = 0
@@ -327,7 +316,6 @@ def compile_plan(lowered, lease_time=None):
     # derives, filled in the one pass that decides eligibility so a
     # closing window constructs its Phase without re-walking its steps.
     current = []
-    current_span = 0
     cur_mem_ops = 0
     cur_compute = 0
     cur_loads = 0
@@ -348,8 +336,8 @@ def compile_plan(lowered, lease_time=None):
         phase_ops += phase.mem_ops
 
     def close_current():
-        nonlocal current, current_span, cur_mem_ops, cur_compute, \
-            cur_loads, cur_stores, cur_events, cur_info, cur_order
+        nonlocal current, cur_mem_ops, cur_compute, cur_loads, \
+            cur_stores, cur_events, cur_info, cur_order
         if cur_mem_ops >= MIN_PHASE_MEM_OPS:
             emit(Phase(
                 tuple(current), cur_mem_ops, cur_compute, cur_loads,
@@ -367,7 +355,6 @@ def compile_plan(lowered, lease_time=None):
                 else:
                     fallback.append(step)
         current = []
-        current_span = 0
         cur_mem_ops = 0
         cur_compute = 0
         cur_loads = 0
@@ -379,14 +366,9 @@ def compile_plan(lowered, lease_time=None):
     for step in lowered.steps:
         op, arg, count = step
         if op is None:
-            # Fused compute: always eligible; only its span can close
-            # the window.
-            if cur_mem_ops and span_cap is not None \
-                    and current_span + arg > span_cap:
-                close_current()
+            # Fused compute: always eligible.
             current.append(step)
             cur_compute += arg
-            current_span += arg
             continue
         block = arg
         is_store = op.is_store
@@ -408,15 +390,10 @@ def compile_plan(lowered, lease_time=None):
             if not count:
                 continue
             step = (op, block, count)
-        span = 2 * count
-        if cur_mem_ops and (
-                cur_mem_ops + count > max_ops
-                or (span_cap is not None
-                    and current_span + span > span_cap)):
+        if cur_mem_ops and cur_mem_ops + count > max_ops:
             close_current()
         current.append(step)
         cur_mem_ops += count
-        current_span += span
         if is_store:
             cur_stores += count
         else:
@@ -438,28 +415,19 @@ def compile_plan(lowered, lease_time=None):
     return PhasePlan(tuple(entries), num_phases, phase_ops)
 
 
-def phase_plan(trace, issue_width, leased=True):
+def phase_plan(trace):
     """Return the memoised :class:`PhasePlan` of ``trace``.
 
-    Two variants exist per issue width: ``leased`` plans honour the
-    trace's lease span cap (ACC's cover guard needs short windows),
-    unleased plans use the large structural cap only (SHARED / SCRATCH /
-    IDEAL controllers have nothing that expires, so longer windows just
-    amortise the per-phase machinery further).  Both are compiled from
-    the lowered stream by :func:`compile_plan`; a trace without a lease
-    gets one plan for both.  Plans are cached in the trace's
-    ``__dict__`` keyed by ``(issue_width, lease_time)`` — the same memo
-    pattern as lowered forms, so compiled phases live as long as the
-    prepared workload and are evicted together by
+    One plan serves every port: whether a window is steady (residency,
+    lease cover, write states) is the controller's ``phase_quote``
+    decision at run time, so nothing here depends on the port.  The
+    plan is cached in the trace's ``__dict__``, the same memo pattern
+    as the lowered form, so it lives as long as the prepared workload
+    and is evicted with it by
     :func:`repro.workloads.lowering.invalidate_lowered`.
     """
-    cache = trace.__dict__.get(_PLAN_ATTR)
-    if cache is None:
-        cache = trace.__dict__[_PLAN_ATTR] = {}
-    lease_time = getattr(trace, "lease_time", None) if leased else None
-    key = (issue_width, lease_time or None)
-    plan = cache.get(key)
+    plan = trace.__dict__.get(_PLAN_ATTR)
     if plan is None:
-        plan = cache[key] = compile_plan(lowered_trace(trace, issue_width),
-                                         lease_time)
+        plan = trace.__dict__[_PLAN_ATTR] = compile_plan(
+            lowered_trace(trace))
     return plan

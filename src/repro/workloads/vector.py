@@ -33,9 +33,9 @@ numpy is an *optional* dependency: every consumer checks
 imported at the first window compile or fold (:func:`numpy`), never at
 ``import repro.cli``: a run served from the result cache never loads it.
 
-Vector plans are memoised on the trace object (``_vector_plans``, same
-pattern as ``_phase_plans``), so they live as long as the prepared
-workload that holds the trace, and are evicted by
+Each trace memoises its one vector plan on itself (``_vector_plan``,
+beside its phase plan), so the plan lives as long as the prepared
+workload that holds the trace, and is evicted by
 :func:`repro.workloads.lowering.invalidate_lowered`.
 """
 
@@ -60,8 +60,8 @@ def numpy():
         import numpy as np
     return np
 
-#: Attribute used to memoise compiled vector plans on a trace object.
-_VECTOR_ATTR = "_vector_plans"
+#: Attribute used to memoise the compiled vector plan on a trace object.
+_VECTOR_ATTR = "_vector_plan"
 
 #: ``step_kind`` codes of the SoA step stream.
 KIND_LOAD = 0
@@ -258,32 +258,20 @@ def compile_vector_plan(plan):
     return VectorPlan(tuple(windows))
 
 
-def vector_plan(trace, issue_width, leased=True):
+def vector_plan(trace):
     """Return the memoised :class:`VectorPlan` of ``trace``.
 
-    Mirrors :func:`repro.workloads.phases.phase_plan`: one variant per
-    ``(issue_width, leased)`` key, cached in the trace's ``__dict__``
-    so compiled windows live as long as the prepared workload.
-    Returns ``None`` on a numpy-less install.
+    Mirrors :func:`repro.workloads.phases.phase_plan`: one plan per
+    trace, compiled from its phase plan and cached in the trace's
+    ``__dict__`` so compiled windows live as long as the prepared
+    workload.  Returns ``None`` on a numpy-less install.
     """
     if np is None:
         return None
-    cache = trace.__dict__.get(_VECTOR_ATTR)
-    if cache is None:
-        cache = trace.__dict__[_VECTOR_ATTR] = {}
-    key = (issue_width, leased)
-    plan = cache.get(key)
+    plan = trace.__dict__.get(_VECTOR_ATTR)
     if plan is None:
-        source = phase_plan(trace, issue_width, leased)
-        # Leased and unleased variants share one PhasePlan when the
-        # trace has no lease time; share the vector plan the same way
-        # (the source plans are pinned by the trace's phase-plan memo,
-        # so identity keys are stable).
-        by_source = cache.setdefault("_by_plan", {})
-        plan = by_source.get(id(source))
-        if plan is None:
-            plan = by_source[id(source)] = compile_vector_plan(source)
-        cache[key] = plan
+        plan = trace.__dict__[_VECTOR_ATTR] = compile_vector_plan(
+            phase_plan(trace))
     return plan
 
 
@@ -354,33 +342,3 @@ def _make_fold(arr):
     def fold(start, _arr=arr):
         return accumulate(start, _arr)
     return fold
-
-
-def compiled_vector_count(trace):
-    """Number of compiled vector plan variants memoised on ``trace``."""
-    cache = trace.__dict__.get(_VECTOR_ATTR)
-    if not cache:
-        return 0
-    return sum(1 for key in cache if isinstance(key, tuple))
-
-
-def vector_summary(trace):
-    """Return ``(plan_entries, windows)`` memoised on ``trace``.
-
-    Plan variants share compiled objects when a trace has no lease
-    time, so shared plans tally once.
-    """
-    cache = trace.__dict__.get(_VECTOR_ATTR)
-    if not cache:
-        return 0, 0
-    entries = 0
-    windows = 0
-    seen = set()
-    for key, plan in cache.items():
-        if not isinstance(key, tuple):
-            continue
-        entries += 1
-        if id(plan) not in seen:
-            seen.add(id(plan))
-            windows += len(plan.windows)
-    return entries, windows

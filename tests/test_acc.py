@@ -263,10 +263,16 @@ def test_late_writeback_after_l1x_eviction():
 
 # -- FUSION-Dx forwarding ------------------------------------------------------------
 
+def forward(tile, vblock, now):
+    """Forward producer A's resident line ``vblock`` to consumer B."""
+    line = tile.l0xa.cache.lookup(vblock, touch=False)
+    tile.l0xa.forward_line_obj(line, tile.l0xb, now)
+
+
 def test_forward_line_delivers_pending_hit():
     tile = make_tile()
     tile.l0xa.access(store(0x40), now=0, lease=LEASE)
-    assert tile.l0xa.forward_line(0x40, tile.l0xb, now=10, lease=LEASE)
+    forward(tile, 0x40, now=10)
     assert tile.stats.get("l0x.axc0.lines_forwarded") == 1
     assert tile.stats.get("link.fwd.data_transfers") == 1
     # Producer no longer holds the line; consumer's first touch hits.
@@ -278,10 +284,16 @@ def test_forward_line_delivers_pending_hit():
 
 
 def test_forward_line_refuses_clean_or_absent():
+    """The forward hook is offered dirty lines only: a clean line and
+    an absent block leave the self-downgrade with nothing to forward."""
     tile = make_tile()
-    assert not tile.l0xa.forward_line(0x40, tile.l0xb, 0, LEASE)
+    offered = []
+    tile.l0xa.forward_hook = lambda l0x, line, now: offered.append(line)
+    tile.l0xa.flush_dirty(now=0)
     tile.l0xa.access(load(0x40), now=0, lease=LEASE)
-    assert not tile.l0xa.forward_line(0x40, tile.l0xb, 0, LEASE)
+    tile.l0xa.flush_dirty(now=10)
+    assert not offered
+    assert tile.stats.get("l0x.axc0.lines_forwarded") == 0
 
 
 def test_forward_hook_fires_on_self_downgrade():
@@ -303,7 +315,7 @@ def test_forward_hook_fires_on_self_downgrade():
 def test_unclaimed_forward_drains_at_consumer_flush():
     tile = make_tile()
     tile.l0xa.access(store(0x40), now=0, lease=LEASE)
-    tile.l0xa.forward_line(0x40, tile.l0xb, now=10, lease=LEASE)
+    forward(tile, 0x40, now=10)
     tile.l0xb.flush_dirty(now=20)  # consumer never touched the block
     assert tile.stats.get("l0x.axc1.unclaimed_forwards") == 1
     assert tile.l1x.cache.lookup(0x40, touch=False).dirty

@@ -9,9 +9,9 @@ from repro.common.stats import StatsRegistry
 from repro.common.types import AccessType, ComputeOp, FunctionTrace, MemOp
 
 
-def make_core(issue_width=4):
+def make_core():
     stats = StatsRegistry()
-    return AxcCore(0, stats, issue_width=issue_width), stats
+    return AxcCore(0, stats), stats
 
 
 def trace(ops):
@@ -29,13 +29,13 @@ def loads(n, stride=64):
 
 
 def test_compute_advances_by_issue_width():
-    core, _ = make_core(issue_width=4)
+    core, _ = make_core()
     end = core.run(trace([ComputeOp(int_ops=8)]), 0, fixed_latency(1), 1)
-    assert end == 2  # 8 ops / 4-wide
+    assert end == 2  # 8 ops / ISSUE_WIDTH 4
 
 
 def test_compute_minimum_one_cycle():
-    core, _ = make_core(issue_width=4)
+    core, _ = make_core()
     end = core.run(trace([ComputeOp(int_ops=1)]), 0, fixed_latency(1), 1)
     assert end == 1
 

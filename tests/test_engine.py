@@ -237,9 +237,9 @@ def test_prepared_workload_carries_lowering_and_mlp(engine):
     workload = engine.cache.load_trace(("adpcm", "tiny", 0))
     assert "_function_mlp" in workload.__dict__
     for trace in workload.invocations:
-        assert "_lowered_by_width" in trace.__dict__
-        assert "_phase_plans" in trace.__dict__
-        assert ("_vector_plans" in trace.__dict__) == HAVE_NUMPY
+        assert "_lowered" in trace.__dict__
+        assert "_phase_plan" in trace.__dict__
+        assert ("_vector_plan" in trace.__dict__) == HAVE_NUMPY
     assert engine.cache.disk_stats()[0] == 2
     assert not list(engine.cache.root.rglob("traces"))
 

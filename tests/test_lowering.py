@@ -48,7 +48,7 @@ def test_lowered_stream_structure():
         MemOp(AccessType.STORE, 0x80),
         ComputeOp(int_ops=2, fp_ops=2),
     ]
-    lowered = lower_trace(_trace(ops), issue_width=4)
+    lowered = lower_trace(_trace(ops))
     # chunk, mem, mem, chunk — phase marker dropped.
     assert len(lowered.steps) == 4
     chunk0, mem0, mem1, chunk1 = lowered.steps
@@ -72,7 +72,7 @@ def test_consecutive_same_line_ops_form_one_run():
         MemOp(AccessType.STORE, 0x118),  # same line, kind break
         MemOp(AccessType.STORE, 0x140),  # line break
     ]
-    lowered = lower_trace(_trace(ops), issue_width=4)
+    lowered = lower_trace(_trace(ops))
     assert lowered.steps == [
         (ops[0], block_address(0x100), 3),
         (ops[3], block_address(0x100), 1),
@@ -93,7 +93,7 @@ def test_compute_chunk_breaks_a_run_but_phase_marker_does_not():
         ComputeOp(int_ops=4, fp_ops=0),
         MemOp(AccessType.LOAD, 0x110),
     ]
-    lowered = lower_trace(_trace(ops), issue_width=4)
+    lowered = lower_trace(_trace(ops))
     assert lowered.steps == [
         (ops[0], block_address(0x100), 2),
         (None, 1, 1),
@@ -112,7 +112,7 @@ def test_subclassed_mem_ops_never_coalesce():
         TracedMemOp(AccessType.LOAD, 0x110),
         MemOp(AccessType.LOAD, 0x118),
     ]
-    lowered = lower_trace(_trace(ops), issue_width=4)
+    lowered = lower_trace(_trace(ops))
     assert [step[2] for step in lowered.steps] == [1, 1, 1, 1]
     assert lowered.mem_ops == 4
     assert _runs(lowered) == (4, 0)
@@ -125,26 +125,24 @@ def test_fused_chunk_latency_sums_per_op_latencies():
     ops = [ComputeOp(int_ops=1, fp_ops=0),   # ceil(1/4) -> 1
            ComputeOp(int_ops=1, fp_ops=0),   # ceil(1/4) -> 1
            ComputeOp(int_ops=5, fp_ops=0)]   # ceil(5/4) -> 2
-    lowered = lower_trace(_trace(ops), issue_width=4)
+    lowered = lower_trace(_trace(ops))
     assert lowered.steps == [(None, 4, 1)]
     # The naive (wrong) alternative would give ceil(7/4) == 2.
     assert math.ceil(7 / 4) != 4
 
 
-def test_memoised_per_issue_width_and_invalidate():
+def test_memoised_and_invalidated():
     trace = _trace([MemOp(AccessType.LOAD, 64)])
-    first = lowered_trace(trace, 4)
-    assert lowered_trace(trace, 4) is first
-    assert lowered_trace(trace, 8) is not first
+    first = lowered_trace(trace)
+    assert lowered_trace(trace) is first
     invalidate_lowered(trace)
-    assert lowered_trace(trace, 4) is not first
+    assert lowered_trace(trace) is not first
 
 
 def test_lower_workload_prelowers_every_invocation(fft_tiny):
     lower_workload(fft_tiny)
     for trace in fft_tiny.invocations:
-        assert trace.__dict__["_lowered_by_width"][4] is \
-            lowered_trace(trace, 4)
+        assert trace.__dict__["_lowered"] is lowered_trace(trace)
 
 
 class TracedMemOp(MemOp):
@@ -200,10 +198,10 @@ def test_lower_workload_prepares_each_content_once(monkeypatch):
     lower_workload(workload)
     for index, trace in enumerate(workload.invocations):
         assert trace is firsts[index % distinct]
-        assert "_lowered_by_width" in trace.__dict__
+        assert "_lowered" in trace.__dict__
     for a in firsts:
         for b in firsts:
-            assert (lowered_trace(a, 4) is lowered_trace(b, 4)) == (a is b)
+            assert (lowered_trace(a) is lowered_trace(b)) == (a is b)
 
     fingerprinted = []
     monkeypatch.setattr(replay_mod, "trace_fingerprint", lambda trace: (
@@ -222,14 +220,14 @@ def test_invalidate_drops_token_and_sharing():
     lower_workload(workload)
     trace = workload.invocations[1]
     old_token = trace_replay_token(trace)
-    old_lowered = lowered_trace(trace, 4)
+    old_lowered = lowered_trace(trace)
     windows_for(trace, 1)
     trace.ops.append(MemOp(AccessType.LOAD, 0x400))
     invalidate_lowered(trace)
     assert all(slot is trace for slot in workload.invocations)
     assert trace_replay_token(trace) != old_token
-    assert lowered_trace(trace, 4) is not old_lowered
-    assert lowered_trace(trace, 4).mem_ops == old_lowered.mem_ops + 1
+    assert lowered_trace(trace) is not old_lowered
+    assert lowered_trace(trace).mem_ops == old_lowered.mem_ops + 1
     assert 0x400 in {block for window in windows_for(trace, 1)
                      for block in window.in_blocks}
 
@@ -269,6 +267,6 @@ def test_run_and_iter_run_agree():
 
 
 def test_lowered_repr_mentions_shape():
-    lowered = lower_trace(_trace([MemOp(AccessType.LOAD, 0)]), 4)
+    lowered = lower_trace(_trace([MemOp(AccessType.LOAD, 0)]))
     assert isinstance(lowered, LoweredTrace)
     assert "1 mem" in repr(lowered)

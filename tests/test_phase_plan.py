@@ -5,8 +5,7 @@ exactly once each split head is re-joined to its run, every phase must
 be a structural steady-state candidate inside its caps, with at least
 ``MIN_PHASE_MEM_OPS`` memory ops or a single run, and each phase's
 one-pass aggregates must equal a fresh :func:`build_phase` of its
-steps.  Checked for both plan variants on every registry benchmark and
-on generated traces.
+steps.  Checked on every registry benchmark and on generated traces.
 """
 
 import pytest
@@ -24,20 +23,12 @@ from repro.common.types import AccessType, ComputeOp, FunctionTrace, \
 from repro.interconnect.link import Link
 from repro.mem.tlb import PageTable
 from repro.workloads.lowering import lowered_trace
-from repro.workloads.phases import MAX_PHASE_MEM_OPS, \
-    MAX_UNLEASED_PHASE_MEM_OPS, MIN_PHASE_MEM_OPS, build_phase, phase_plan
+from repro.workloads.phases import MAX_PHASE_MEM_OPS, MIN_PHASE_MEM_OPS, \
+    build_phase, phase_plan
 from repro.workloads.registry import BENCHMARKS, build_workload
-
-ISSUE_WIDTH = 4
 
 AGGREGATES = ("mem_ops", "compute_cycles", "num_loads", "num_stores",
               "event_seq", "block_info")
-
-
-def _span(steps):
-    """The compiler's span estimate: two cycles a memory op plus the
-    fused compute."""
-    return sum(arg if op is None else 2 * count for op, arg, count in steps)
 
 
 def _rejoined(plan):
@@ -55,16 +46,10 @@ def _rejoined(plan):
     return steps
 
 
-def check_plan(trace, leased):
-    lowered = lowered_trace(trace, ISSUE_WIDTH)
-    plan = phase_plan(trace, ISSUE_WIDTH, leased)
-    lease_time = trace.lease_time if leased else None
-    if lease_time:
-        max_ops = MAX_PHASE_MEM_OPS
-        span_cap = max(MIN_PHASE_MEM_OPS * 4, lease_time // 8)
-    else:
-        max_ops, span_cap = MAX_UNLEASED_PHASE_MEM_OPS, None
-
+def check_plan(trace):
+    lowered = lowered_trace(trace)
+    plan = phase_plan(trace)
+    assert phase_plan(trace) is plan
     assert _rejoined(plan) == list(lowered.steps)
     touched, written = set(), set()
     num_phases = phase_ops = 0
@@ -90,10 +75,7 @@ def check_plan(trace, leased):
         one_run = len(steps) == 1 and mem_steps == [0] and steps[0][2] > 1
         assert phase.mem_ops >= MIN_PHASE_MEM_OPS or one_run
         # Only the step that opens a window can carry it past a cap.
-        assert phase.mem_ops <= max_ops or len(mem_steps) == 1
-        if span_cap is not None:
-            assert _span(steps) <= span_cap \
-                or mem_steps == [len(steps) - 1]
+        assert phase.mem_ops <= MAX_PHASE_MEM_OPS or len(mem_steps) == 1
         for op, arg, _count in steps:
             if op is None:
                 continue
@@ -105,8 +87,6 @@ def check_plan(trace, leased):
         for name in AGGREGATES:
             assert getattr(phase, name) == getattr(rebuilt, name), name
     assert (plan.num_phases, plan.phase_ops) == (num_phases, phase_ops)
-    if not trace.lease_time:
-        assert phase_plan(trace, ISSUE_WIDTH, not leased) is plan
     return plan
 
 
@@ -115,10 +95,8 @@ def check_plan(trace, leased):
 def test_registry_plans_keep_the_contract(name, size):
     distinct = {trace_fingerprint(trace): trace for trace in
                 build_workload(name, size).invocations}
-    phases = 0
-    for trace in distinct.values():
-        for leased in (True, False):
-            phases += check_plan(trace, leased).num_phases
+    phases = sum(check_plan(trace).num_phases
+                 for trace in distinct.values())
     assert phases, "no phase compiled: the contract was checked on nothing"
 
 
@@ -148,16 +126,13 @@ def traces(draw):
         make = TaggedOp if tag == 0 else MemOp
         ops += [make(kind, BASE + line * 64 + (word % 8) * 8)
                 for word in range(length)]
-    lease = draw(st.sampled_from((0, 1, 30, 100, 500, 4000)))
-    return FunctionTrace(name="gen", benchmark="plan", ops=ops,
-                         lease_time=lease)
+    return FunctionTrace(name="gen", benchmark="plan", ops=ops)
 
 
 @settings(max_examples=80, deadline=None)
 @given(traces())
 def test_generated_plans_keep_the_contract(trace):
-    for leased in (True, False):
-        check_plan(trace, leased)
+    check_plan(trace)
 
 
 BLOCK_A = 0x80000
@@ -175,12 +150,22 @@ def test_first_touch_run_splits_off_its_head():
     ops = _run(AccessType.LOAD, BLOCK_A, 8)
     trace = FunctionTrace(name="split", benchmark="plan", ops=ops,
                           lease_time=1000)
-    for leased in (True, False):
-        plan = check_plan(trace, leased)
-        (gap, head), (phase, tail) = plan.entries
-        assert gap is None and head == ((ops[0], BLOCK_A, 1),)
-        assert phase is not None and tail == ((ops[0], BLOCK_A, 7),)
-        assert phase.mem_ops == 7
+    (gap, head), (phase, tail) = check_plan(trace).entries
+    assert gap is None and head == ((ops[0], BLOCK_A, 1),)
+    assert phase is not None and tail == ((ops[0], BLOCK_A, 7),)
+    assert phase.mem_ops == 7
+
+
+def test_long_steady_window_is_cut_at_the_cap():
+    """Alternating runs on two warm lines are one steady candidate;
+    the compiler cuts it into windows of at most the cap."""
+    ops = (_run(AccessType.LOAD, BLOCK_A, 8)
+           + _run(AccessType.LOAD, BLOCK_B, 8)) * 300
+    trace = FunctionTrace(name="long", benchmark="plan", ops=ops)
+    sizes = [phase.mem_ops for phase, _steps in check_plan(trace).entries
+             if phase is not None]
+    assert max(sizes) == MAX_PHASE_MEM_OPS
+    assert len(sizes) > 2
 
 
 def _acc_l0x(lease):
@@ -202,7 +187,6 @@ class QuoteLog:
     def __init__(self, l0x):
         self.l0x = l0x
         self.issue_interval = l0x.issue_interval
-        self.leased_phases = l0x.leased_phases
         self.access = l0x.access
         self.quoted = []
 

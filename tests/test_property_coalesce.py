@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from test_oracle import ALL_ON, LEASES, POOL, SOLO_MAKERS, cases, check, \
     functions, rung_off, run_lengths
+# The oracle's autouse phase cap: the generated traces keep forming
+# multi-phase windows here too.
+from test_oracle import oracle_phase_cap  # noqa: F401
 
 OFF = rung_off("COALESCE_RUNS")
 

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 
 from test_oracle import ALL_ON, CORESIDENT, SOLO_MAKERS, cases, check, \
     pick, rung_off
+# The oracle's autouse phase cap: the generated traces keep forming
+# multi-phase windows here too.
+from test_oracle import oracle_phase_cap  # noqa: F401
 
 OFF = rung_off("VECTOR_PHASES")
 

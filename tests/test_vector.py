@@ -11,8 +11,7 @@ from repro.workloads.phases import build_phase, phase_plan, \
     single_run_phase
 from repro.workloads.vector import KIND_COMPUTE, KIND_LOAD, KIND_STORE, \
     VectorWindow, accumulate, build_window, compile_vector_plan, \
-    compile_window_ledger, compiled_vector_count, vector_plan, \
-    vector_summary
+    compile_window_ledger, vector_plan
 
 BASE = 0x10000
 
@@ -25,9 +24,8 @@ def _store(block):
     return MemOp(AccessType.STORE, BASE + block * 64)
 
 
-def _trace(ops, lease_time=250):
-    return FunctionTrace(name="fn", benchmark="unit", ops=ops,
-                         lease_time=lease_time)
+def _trace(ops):
+    return FunctionTrace(name="fn", benchmark="unit", ops=ops)
 
 
 def _run_ops(block, is_store, count):
@@ -127,7 +125,7 @@ def test_plan_windows_are_maximal_phase_runs():
     ops = (_run_ops(0, False, 6) + _run_ops(1, False, 6)
            + [ComputeOp(int_ops=200)]          # phase-breaking step
            + _run_ops(2, True, 6))
-    plan = phase_plan(_trace(ops), issue_width=4, leased=True)
+    plan = phase_plan(_trace(ops))
     vplan = compile_vector_plan(plan)
     # Only runs of >= MIN_WINDOW_PHASES consecutive phases compile.
     for window in vplan.windows:
@@ -137,38 +135,18 @@ def test_plan_windows_are_maximal_phase_runs():
 
 
 def test_single_phase_runs_get_no_window():
-    plan = phase_plan(_trace(_run_ops(0, False, 8)), issue_width=4,
-                      leased=True)
+    plan = phase_plan(_trace(_run_ops(0, False, 8)))
     phase_entries = [e for e in plan.entries if e[0] is not None]
     if len(phase_entries) < vector.MIN_WINDOW_PHASES:
         assert compile_vector_plan(plan).windows == ()
 
 
-def test_vector_plan_memoised_and_shared_when_unleased():
-    trace = _trace(_run_ops(0, False, 8) + _run_ops(1, True, 8),
-                   lease_time=None)
-    assert compiled_vector_count(trace) == 0
-    leased = vector_plan(trace, 4, leased=True)
-    unleased = vector_plan(trace, 4, leased=False)
-    assert vector_plan(trace, 4, leased=True) is leased
-    # No lease time -> both variants share one PhasePlan, so the
-    # compiled vector plan is shared too.
-    assert unleased is leased
-    assert compiled_vector_count(trace) == 2
-    entries, windows = vector_summary(trace)
-    assert entries == 2
-    assert windows == len(leased.windows)   # shared plan tallied once
-
-
-def test_vector_plan_distinct_when_leased():
-    trace = _trace(_run_ops(0, False, 12) + _run_ops(1, True, 12),
-                   lease_time=30)
-    leased = vector_plan(trace, 4, leased=True)
-    unleased = vector_plan(trace, 4, leased=False)
-    source_leased = phase_plan(trace, 4, True)
-    source_unleased = phase_plan(trace, 4, False)
-    if source_leased is not source_unleased:
-        assert leased is not unleased
+def test_vector_plan_memoised():
+    trace = _trace(_run_ops(0, False, 8) + _run_ops(1, True, 8))
+    assert vector._VECTOR_ATTR not in trace.__dict__
+    plan = vector_plan(trace)
+    assert vector_plan(trace) is plan
+    assert trace.__dict__[vector._VECTOR_ATTR] is plan
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +234,13 @@ def test_window_ledger_starts_from_nonzero_running_value():
 def test_invalidate_lowered_evicts_vector_plans():
     from repro.workloads.lowering import invalidate_lowered
     trace = _trace(_run_ops(0, False, 8) + _run_ops(1, True, 8))
-    vector_plan(trace, 4, leased=True)
-    assert compiled_vector_count(trace) == 1
+    vector_plan(trace)
+    assert vector._VECTOR_ATTR in trace.__dict__
     invalidate_lowered(trace)
-    assert compiled_vector_count(trace) == 0
-    assert vector_summary(trace) == (0, 0)
+    assert vector._VECTOR_ATTR not in trace.__dict__
 
 
 def test_vector_plan_none_when_numpy_missing(monkeypatch):
     monkeypatch.setattr(vector, "np", None)
     trace = _trace(_run_ops(0, False, 8))
-    assert vector_plan(trace, 4, leased=True) is None
+    assert vector_plan(trace) is None
